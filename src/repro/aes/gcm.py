@@ -9,9 +9,11 @@ tag.  Two properties make GCM a natural fit for the paper's device:
   as the cipher's GF(2^8), 16 bytes at a time, implemented here from
   first principles like everything else in this library.
 
-Verified against the canonical NIST GCM test cases.  As with the rest
-of :mod:`repro.aes`, this is a reference implementation: table-free
-GHASH, no constant-time claims.
+Every AES block — the hash subkey H, the tag mask E(K, J0) and the
+payload keystream — runs on the batch engine
+(:func:`repro.perf.engine.default_engine`); GHASH runs on the
+providers of :mod:`repro.aes.ghash`.  Verified against the canonical
+NIST GCM test cases; no constant-time claims.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 import hmac as _hmac
 from typing import Tuple
 
-from repro.aes.cipher import AES128
 from repro.aes.ghash import default_provider as _ghash_provider
+from repro.aes.modes import _bulk_engine as _engine
 from repro.obs.metrics import global_registry
 
 BLOCK = 16
@@ -112,35 +114,25 @@ def _inc32(block: bytes) -> bytes:
     return head + ((counter + 1) & 0xFFFFFFFF).to_bytes(4, "big")
 
 
-def _gctr(aes: AES128, icb: bytes, data: bytes) -> bytes:
-    out = bytearray()
-    counter = icb
-    for index in range(0, len(data), BLOCK):
-        chunk = data[index:index + BLOCK]
-        stream = aes.encrypt_block(counter)
-        out.extend(c ^ s for c, s in zip(chunk, stream))
-        counter = _inc32(counter)
-    return bytes(out)
+def _subkey_and_mask(key: bytes, iv: bytes) -> Tuple[int, bytes, int]:
+    """H, J0 and the tag mask E(K, J0), all on the batch engine.
 
-
-def _gctr_bulk(key: bytes, icb: bytes, data: bytes) -> bytes:
-    """GCTR for the payload, on the batch engine.
-
-    Bit-for-bit the serial :func:`_gctr` (the engine's backends are
-    cross-checked against the straightforward model); the serial form
-    stays for the single-block tag path and as the golden reference.
+    A 96-bit IV fixes J0 up front, so H = E(K, 0^128) and E(K, J0)
+    are one two-block call; any other IV length hashes into J0
+    (SP 800-38D §7.1) under H, so H comes first.
     """
-    from repro.perf.engine import default_engine
-    return default_engine().gctr(key, icb, data)
-
-
-def _derive(aes: AES128, iv: bytes, h: int) -> bytes:
-    """J0, the pre-counter block (SP 800-38D §7.1)."""
+    engine = _engine()
     if len(iv) == 12:
-        return iv + b"\x00\x00\x00\x01"
-    lengths = bytes(8) + (8 * len(iv)).to_bytes(8, "big")
-    s = _ghash_provider().digest(h, (iv, lengths))
-    return s.to_bytes(16, "big")
+        j0 = iv + b"\x00\x00\x00\x01"
+        out = engine.encrypt_blocks(key, bytes(BLOCK) + j0)
+        h, mask = out[:BLOCK], out[BLOCK:]
+    else:
+        h = engine.encrypt_blocks(key, bytes(BLOCK))
+        lengths = bytes(8) + (8 * len(iv)).to_bytes(8, "big")
+        j0 = _ghash_provider().digest(
+            int.from_bytes(h, "big"), (iv, lengths)).to_bytes(16, "big")
+        mask = engine.encrypt_blocks(key, j0)
+    return int.from_bytes(h, "big"), j0, int.from_bytes(mask, "big")
 
 
 def _lengths_block(aad: bytes, ciphertext: bytes) -> bytes:
@@ -148,13 +140,13 @@ def _lengths_block(aad: bytes, ciphertext: bytes) -> bytes:
         (8 * len(ciphertext)).to_bytes(8, "big")
 
 
-def _tag(aes: AES128, h: int, j0: bytes, aad: bytes,
-         ciphertext: bytes) -> bytes:
+def _tag(h: int, mask: int, aad: bytes, ciphertext: bytes) -> bytes:
+    """GHASH(A, C) xor E(K, J0)."""
     # Each part is padded to the block boundary by the provider
     # (tail block only) — no fully padded concatenation is built.
     s = _ghash_provider().digest(
         h, (aad, ciphertext, _lengths_block(aad, ciphertext)))
-    return _gctr(aes, j0, s.to_bytes(16, "big"))
+    return (s ^ mask).to_bytes(16, "big")
 
 
 def gcm_encrypt(key: bytes, iv: bytes, plaintext: bytes,
@@ -162,12 +154,9 @@ def gcm_encrypt(key: bytes, iv: bytes, plaintext: bytes,
     """Encrypt and authenticate; returns (ciphertext, 16-byte tag)."""
     _check_lengths(len(plaintext), len(aad), len(iv))
     _GCM_OPS.labels(op="encrypt").inc()
-    aes = AES128(key)
-    h = int.from_bytes(aes.encrypt_block(bytes(16)), "big")
-    j0 = _derive(aes, bytes(iv), h)
-    ciphertext = _gctr_bulk(key, _inc32(j0), bytes(plaintext))
-    tag = _tag(aes, h, j0, bytes(aad), ciphertext)
-    return ciphertext, tag
+    h, j0, mask = _subkey_and_mask(key, bytes(iv))
+    ciphertext = _engine().gctr(key, _inc32(j0), bytes(plaintext))
+    return ciphertext, _tag(h, mask, bytes(aad), ciphertext)
 
 
 def gcm_decrypt(key: bytes, iv: bytes, ciphertext: bytes, tag: bytes,
@@ -176,11 +165,9 @@ def gcm_decrypt(key: bytes, iv: bytes, ciphertext: bytes, tag: bytes,
     bad tag (and releases no plaintext in that case)."""
     _check_lengths(len(ciphertext), len(aad), len(iv))
     _GCM_OPS.labels(op="decrypt").inc()
-    aes = AES128(key)
-    h = int.from_bytes(aes.encrypt_block(bytes(16)), "big")
-    j0 = _derive(aes, bytes(iv), h)
-    expected = _tag(aes, h, j0, bytes(aad), bytes(ciphertext))
+    h, j0, mask = _subkey_and_mask(key, bytes(iv))
+    expected = _tag(h, mask, bytes(aad), bytes(ciphertext))
     if not _hmac.compare_digest(expected, bytes(tag)):
         _GCM_AUTH_FAILURES.inc()
         raise AuthenticationError("GCM tag verification failed")
-    return _gctr_bulk(key, _inc32(j0), bytes(ciphertext))
+    return _engine().gctr(key, _inc32(j0), bytes(ciphertext))

@@ -8,8 +8,8 @@ streaming channel.  CBC/CFB feedback chains serialize blocks — exactly
 the scenario where the paper's 50-cycle latency is the whole story —
 while ECB/CTR allow the device's I/O overlap to hide load time.
 
-The bulk paths of the parallelizable modes (ECB encryption, the CTR
-keystream) route through the batch engine
+The parallelizable modes (ECB in both directions, the CTR keystream)
+route through the batch engine
 (:func:`repro.perf.engine.default_engine`), which picks the fastest
 backend that still agrees bit-for-bit with :class:`AES128`.
 
@@ -119,11 +119,10 @@ def ecb_encrypt(key: bytes, plaintext: bytes) -> bytes:
 
 
 def ecb_decrypt(key: bytes, ciphertext: bytes) -> bytes:
-    """ECB decryption."""
+    """ECB decryption, on the batch engine's inverse cipher."""
     ciphertext = _require_aligned(ciphertext, "ciphertext")
     _MODE_OPS.labels(mode="ecb", op="decrypt").inc()
-    aes = AES128(key)
-    return b"".join(aes.decrypt_block(b) for b in _blocks(ciphertext))
+    return _bulk_engine().decrypt_blocks(key, ciphertext)
 
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:

@@ -5,15 +5,18 @@ processing speed running cryptography algorithms in general software".
 This subpackage is the software side of that argument, engineered the
 way high-traffic deployments actually run block ciphers:
 
-- :mod:`repro.perf.backends` — pluggable bulk-encryption backends: the
+- :mod:`repro.perf.backends` — pluggable bulk block-cipher backends,
+  each with ``encrypt_blocks`` and ``decrypt_blocks``: the
   straightforward model (:class:`repro.aes.cipher.AES128`, the golden
   reference), the per-block T-table path (:mod:`repro.aes.fast`), and
   a word-sliced *batch* T-table backend that amortizes key expansion
   through an LRU round-key cache and processes many blocks per call —
-  vectorized with numpy when available, pure Python otherwise.
+  vectorized with numpy for large batches when numpy is available,
+  pure Python otherwise.
 - :mod:`repro.perf.engine` — :class:`~repro.perf.engine.BatchEngine`,
   one interface over every backend with ``concurrent.futures``
-  sharding for the parallelizable modes (ECB, CTR keystream, GCTR).
+  sharding for the parallelizable modes (ECB in both directions, CTR
+  keystream, GCTR).
   Feedback modes (CBC/CFB) stay serial by construction — the paper's
   point that chaining makes per-block latency the whole story.
 - :mod:`repro.perf.bench` — the benchmark harness: a pinned workload
@@ -22,8 +25,9 @@ way high-traffic deployments actually run block ciphers:
   ``BENCH_software_throughput.json`` trajectory that later PRs assert
   no-regression against.
 
-The bulk paths of :mod:`repro.aes.modes` and :mod:`repro.aes.gcm`
-route through :func:`repro.perf.engine.default_engine`.
+ECB and CTR in :mod:`repro.aes.modes` and every AES block of
+:mod:`repro.aes.gcm` (payload, H and E(K, J0)) route through
+:func:`repro.perf.engine.default_engine`.
 """
 
 from repro.perf.backends import (

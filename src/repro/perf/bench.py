@@ -107,11 +107,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.aes.cipher import AES128
 from repro.aes.vectors import SP800_38A_ECB128_KEY
 from repro.perf.backends import (
+    _NP_MIN_BLOCKS,
     Backend,
     available_backends,
     numpy_version,
@@ -162,6 +163,12 @@ def _serial_ecb(key: bytes, data: bytes) -> bytes:
                     for i in range(0, len(data), BLOCK))
 
 
+def _serial_ecb_decrypt(key: bytes, data: bytes) -> bytes:
+    aes = AES128(key)
+    return b"".join(aes.decrypt_block(data[i:i + BLOCK])
+                    for i in range(0, len(data), BLOCK))
+
+
 def _serial_ctr(key: bytes, nonce: bytes, data: bytes) -> bytes:
     aes = AES128(key)
     out = bytearray()
@@ -191,6 +198,10 @@ def cross_check(backends: Optional[Dict[str, Backend]] = None,
                 seed: int = _SEED) -> Dict[str, object]:
     """Verify every backend against the straightforward model.
 
+    ECB runs in both directions over buffers of 1,
+    ``_NP_MIN_BLOCKS - 1``, ``_NP_MIN_BLOCKS`` and ``corpus_blocks``
+    blocks, so the sliced backend's pure-Python and numpy loops are
+    both gated; CTR and GCTR run on a ragged ``corpus_blocks`` buffer.
     Raises :class:`BackendMismatch` naming the first divergent
     (backend, primitive) pair; returns the summary recorded in the
     bench JSON when everything agrees.
@@ -200,34 +211,40 @@ def cross_check(backends: Optional[Dict[str, Backend]] = None,
     rng = random.Random(seed)
     keys = [SP800_38A_ECB128_KEY,
             bytes(rng.randrange(256) for _ in range(16))]
-    aligned = rng.randbytes(corpus_blocks * BLOCK)
+    aligned = [rng.randbytes(blocks * BLOCK) for blocks in sorted({
+        1, _NP_MIN_BLOCKS - 1, _NP_MIN_BLOCKS, corpus_blocks})]
     ragged = rng.randbytes(corpus_blocks * BLOCK - 7)
     nonce = rng.randbytes(8)
     # An ICB 2 blocks short of the 32-bit wrap: the corpus crosses it.
     icb = rng.randbytes(12) + (0xFFFFFFFE).to_bytes(4, "big")
 
     primitives: Dict[
-        str, Callable[[BatchEngine, bytes], Sequence[bytes]]
+        str, Callable[[BatchEngine, bytes], List[Tuple[bytes, bytes]]]
     ] = {
-        "ecb": lambda eng, key: (eng.xcrypt_ecb(key, aligned),
-                                 _serial_ecb(key, aligned)),
-        "ctr": lambda eng, key: (eng.xcrypt_ctr(key, nonce, ragged),
-                                 _serial_ctr(key, nonce, ragged)),
-        "gctr": lambda eng, key: (eng.gctr(key, icb, ragged),
-                                  _serial_gctr(key, icb, ragged)),
+        "ecb": lambda eng, key: [
+            (eng.encrypt_blocks(key, data), _serial_ecb(key, data))
+            for data in aligned],
+        "ecb_decrypt": lambda eng, key: [
+            (eng.decrypt_blocks(key, data),
+             _serial_ecb_decrypt(key, data))
+            for data in aligned],
+        "ctr": lambda eng, key: [(eng.xcrypt_ctr(key, nonce, ragged),
+                                  _serial_ctr(key, nonce, ragged))],
+        "gctr": lambda eng, key: [(eng.gctr(key, icb, ragged),
+                                   _serial_gctr(key, icb, ragged))],
     }
     for name, backend in sorted(backends.items()):
         engine = BatchEngine(backend)
         for primitive, run in primitives.items():
             for key in keys:
-                got, want = run(engine, key)
-                if got != want:
-                    raise BackendMismatch(
-                        f"backend {name!r} diverges from the "
-                        f"straightforward model on {primitive} "
-                        f"(corpus {corpus_blocks} blocks, "
-                        f"seed {seed})"
-                    )
+                for got, want in run(engine, key):
+                    if got != want:
+                        raise BackendMismatch(
+                            f"backend {name!r} diverges from the "
+                            f"straightforward model on {primitive} "
+                            f"({len(want) // BLOCK} blocks, "
+                            f"seed {seed})"
+                        )
     return {
         "backends": sorted(backends),
         "primitives": sorted(primitives),

@@ -6,15 +6,15 @@ how the blocks actually get processed — which backend runs the T-table
 math, and whether the buffer is sharded across worker threads with
 ``concurrent.futures``.
 
-Only the *parallelizable* primitives live here: ECB encryption, CTR
-keystream generation, and GCTR (GCM's 32-bit-counter variant).  Each
-encrypts an independent block stream, so a buffer can be cut into
-contiguous shards and processed concurrently.  The feedback modes
-(CBC, CFB) are deliberately absent: block *i* needs ciphertext
-*i - 1*, so no amount of batching hides per-block latency — in
-hardware terms, the paper's 50-cycle block latency is the whole story
-for a chained mode, and :mod:`repro.aes.modes` keeps those loops
-serial.
+Only the *parallelizable* primitives live here: ECB in both
+directions, CTR keystream generation, and GCTR (GCM's 32-bit-counter
+variant).  Each transforms an independent block stream, so a buffer
+can be cut into contiguous shards and processed concurrently.  The
+feedback modes (CBC, CFB) are deliberately absent: block *i* needs
+ciphertext *i - 1*, so no amount of batching hides per-block latency
+— in hardware terms, the paper's 50-cycle block latency is the whole
+story for a chained mode, and :mod:`repro.aes.modes` keeps those
+loops serial.
 
 Hot-swapping backends behind this one interface mirrors the dynamic-
 reconfiguration direction of the related FPGA work: the caller's code
@@ -62,9 +62,16 @@ _BACKEND_SELECTED = _REGISTRY.counter(
     "Backend choices made at engine construction",
     labels=("backend",),
 )
-_OPS_ENCRYPT = _OPS.labels(primitive="encrypt_blocks")
 _OPS_KEYSTREAM = _OPS.labels(primitive="keystream")
 _OPS_GCTR = _OPS.labels(primitive="gctr")
+
+
+#: Backend method names of the two ECB directions; they double as the
+#: ``primitive`` label and the trace-span suffix.
+_ENCRYPT = "encrypt_blocks"
+_DECRYPT = "decrypt_blocks"
+_OPS_ECB = {direction: _OPS.labels(primitive=direction)
+            for direction in (_ENCRYPT, _DECRYPT)}
 
 
 class BackendMismatch(ValueError):
@@ -72,7 +79,7 @@ class BackendMismatch(ValueError):
 
 
 class BatchEngine:
-    """Batched encryption over a pluggable backend.
+    """Batched block-cipher work over a pluggable backend.
 
     ``backend`` is a registry name (``baseline`` / ``ttable`` /
     ``sliced`` / ``auto``) or a :class:`~repro.perf.backends.Backend`
@@ -118,6 +125,14 @@ class BatchEngine:
     # ------------------------------------------------------------ ECB
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
         """Encrypt an aligned buffer block-by-block (ECB direction)."""
+        return self._blocks(_ENCRYPT, key, data)
+
+    def decrypt_blocks(self, key: bytes, data: bytes) -> bytes:
+        """Decrypt an aligned buffer block-by-block (inverse cipher)."""
+        return self._blocks(_DECRYPT, key, data)
+
+    def _blocks(self, direction: str, key: bytes, data: bytes) -> bytes:
+        """Validate, count, trace and shard one ECB-direction call."""
         key = bytes(key)
         if len(key) != BLOCK:
             raise ValueError(
@@ -130,41 +145,34 @@ class BatchEngine:
             )
         if not data:
             return b""
-        _OPS_ENCRYPT.inc()
+        _OPS_ECB[direction].inc()
         _BLOCKS.inc(len(data) // BLOCK)
         shards = self._shards(data)
         effective = min(self._workers, len(shards))
         self._effective_workers = effective
         _WORKERS_EFFECTIVE.set(effective)
-        with trace_span("engine.encrypt_blocks",
+        run = getattr(self._backend, direction)
+
+        def one_shard(shard: bytes) -> bytes:
+            start = time.perf_counter()
+            out = run(key, shard)
+            _SHARD_SECONDS.labels(backend=self._backend.name).observe(
+                time.perf_counter() - start
+            )
+            return out
+
+        with trace_span(f"engine.{direction}",
                         backend=self._backend.name,
                         blocks=len(data) // BLOCK,
                         shards=len(shards), workers=effective):
             if len(shards) == 1:
-                return self._encrypt_shard(key, data)
+                return one_shard(data)
             with ThreadPoolExecutor(max_workers=effective) as pool:
-                parts = pool.map(
-                    lambda shard: self._encrypt_shard(key, shard),
-                    shards,
-                )
-                return b"".join(parts)
-
-    def _encrypt_shard(self, key: bytes, shard: bytes) -> bytes:
-        """One backend call, timed into the shard-latency histogram."""
-        start = time.perf_counter()
-        out = self._backend.encrypt_blocks(key, shard)
-        _SHARD_SECONDS.labels(backend=self._backend.name).observe(
-            time.perf_counter() - start
-        )
-        return out
+                return b"".join(pool.map(one_shard, shards))
 
     def xcrypt_ecb(self, key: bytes, data: bytes) -> bytes:
-        """ECB over the batch path (encrypt direction only).
-
-        Decryption needs the inverse cipher, which stays on the
-        straightforward model — every backend here is encrypt-only,
-        like the paper's smallest device variant.
-        """
+        """ECB encryption over the batch path (see
+        :meth:`decrypt_blocks` for the inverse direction)."""
         return self.encrypt_blocks(key, data)
 
     # ------------------------------------------------------------ CTR
@@ -202,10 +210,9 @@ class BatchEngine:
     def gctr(self, key: bytes, icb: bytes, data: bytes) -> bytes:
         """SP 800-38D GCTR: 32-bit increment of the low counter word.
 
-        Bit-for-bit the serial ``_gctr`` of :mod:`repro.aes.gcm`,
-        including the modulo-2^32 counter wrap — which the GCM entry
-        points make unreachable by enforcing the plaintext length
-        limit before any counter is consumed.
+        Includes the modulo-2^32 counter wrap of ``inc32`` — which
+        the GCM entry points make unreachable by enforcing the
+        plaintext length limit before any counter is consumed.
         """
         icb = bytes(icb)
         if len(icb) != BLOCK:
@@ -270,25 +277,25 @@ def default_engine() -> BatchEngine:
 def forget_key(key: bytes) -> None:
     """Key-material hygiene: zeroize per-key caches for ``key``.
 
-    Drops the expanded schedule from the default engine's
+    Derives the key's GHASH subkey through the default engine, then
+    drops the expanded schedules from the engine's
     :class:`~repro.perf.backends.RoundKeyCache` and the GHASH byte
-    tables derived from the key's hash subkey — both are overwritten
-    with zeros, not merely dropped.  The serve layer calls this on
-    session teardown; callers with private engines wipe their own
-    backend's cache.
+    tables derived from the subkey — both are overwritten with zeros,
+    not merely dropped.  The serve layer calls this on session
+    teardown; callers with private engines wipe their own backend's
+    cache.
 
     Best-effort by design: a malformed key has nothing cached, and
     hygiene on teardown must never raise into connection cleanup.
     """
-    if _DEFAULT is not None:
-        cache = getattr(_DEFAULT.backend, "cache", None)
-        if cache is not None:
-            cache.discard(key)
+    engine = default_engine()
     try:
-        from repro.aes import ghash as _ghash
-        from repro.aes.cipher import AES128
         subkey = int.from_bytes(
-            AES128(key).encrypt_block(bytes(BLOCK)), "big")
+            engine.encrypt_blocks(key, bytes(BLOCK)), "big")
     except (TypeError, ValueError):
         return
+    cache = getattr(engine.backend, "cache", None)
+    if cache is not None:
+        cache.discard(key)
+    from repro.aes import ghash as _ghash
     _ghash.forget(subkey)

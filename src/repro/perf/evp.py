@@ -7,6 +7,8 @@ AES-NI where the CPU has it — behind the same :class:`Backend`
 interface the pure-Python backends implement.  The bench equivalence
 gate then cross-checks it bit-for-bit like any other backend, and
 its rows show how far the Python ladder is from the hardware ceiling.
+Both directions are registered: ``EVP_EncryptUpdate`` and
+``EVP_DecryptUpdate`` over AES-128-ECB.
 
 Everything is guarded: no libcrypto, no exported symbols, or a
 failed FIPS-197 self-test simply means :func:`have_evp` is false and
@@ -25,8 +27,8 @@ from repro.perf.backends import Backend
 
 _BLOCK = 16
 
-#: FIPS-197 Appendix C.1 known answer, checked once at load: a
-#: libcrypto that cannot reproduce it is not used.
+#: FIPS-197 Appendix C.1 known answer, checked once at load in both
+#: directions: a libcrypto that cannot reproduce it is not used.
 _KAT_KEY = bytes(range(16))
 _KAT_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 _KAT_CIPHERTEXT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
@@ -54,22 +56,28 @@ class _Lib:
         self.aes_128_ecb = lib.EVP_aes_128_ecb
         self.aes_128_ecb.restype = ctypes.c_void_p
         self.aes_128_ecb.argtypes = ()
-        self.init = lib.EVP_EncryptInit_ex
-        self.init.restype = ctypes.c_int
-        self.init.argtypes = (
+        init_types = (
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_char_p, ctypes.c_char_p,
         )
-        self.set_padding = lib.EVP_CIPHER_CTX_set_padding
-        self.set_padding.restype = ctypes.c_int
-        self.set_padding.argtypes = (ctypes.c_void_p, ctypes.c_int)
-        self.update = lib.EVP_EncryptUpdate
-        self.update.restype = ctypes.c_int
-        self.update.argtypes = (
+        update_types = (
             ctypes.c_void_p, ctypes.c_char_p,
             ctypes.POINTER(ctypes.c_int), ctypes.c_char_p,
             ctypes.c_int,
         )
+        #: decrypt flag -> (init, update, name stem for errors).
+        self.directions = {}
+        for decrypt, stem in ((False, "Encrypt"), (True, "Decrypt")):
+            init = getattr(lib, f"EVP_{stem}Init_ex")
+            init.restype = ctypes.c_int
+            init.argtypes = init_types
+            update = getattr(lib, f"EVP_{stem}Update")
+            update.restype = ctypes.c_int
+            update.argtypes = update_types
+            self.directions[decrypt] = (init, update, f"EVP_{stem}")
+        self.set_padding = lib.EVP_CIPHER_CTX_set_padding
+        self.set_padding.restype = ctypes.c_int
+        self.set_padding.argtypes = (ctypes.c_void_p, ctypes.c_int)
         version = getattr(lib, "OpenSSL_version", None)
         if version is not None:
             version.restype = ctypes.c_char_p
@@ -78,30 +86,30 @@ class _Lib:
         else:
             self.version = "OpenSSL (version symbol unavailable)"
 
-    def encrypt_ecb(self, key: bytes, data: bytes) -> bytes:
+    def ecb(self, key: bytes, data: bytes, decrypt: bool) -> bytes:
         """Raw AES-128-ECB over ``data`` (padding disabled).
 
         A fresh context per call keeps the backend thread-safe under
         the batch engine's executor with zero shared state.
         """
+        init, update, stem = self.directions[decrypt]
         ctx = self.new()
         if not ctx:
             raise RuntimeError("EVP_CIPHER_CTX_new failed")
         try:
-            if self.init(ctx, self.aes_128_ecb(), None, key,
-                         None) != 1:
-                raise RuntimeError("EVP_EncryptInit_ex failed")
+            if init(ctx, self.aes_128_ecb(), None, key, None) != 1:
+                raise RuntimeError(f"{stem}Init_ex failed")
             if self.set_padding(ctx, 0) != 1:
                 raise RuntimeError(
                     "EVP_CIPHER_CTX_set_padding failed")
             out = ctypes.create_string_buffer(len(data))
             written = ctypes.c_int(0)
-            if self.update(ctx, out, ctypes.byref(written), data,
-                           len(data)) != 1:
-                raise RuntimeError("EVP_EncryptUpdate failed")
+            if update(ctx, out, ctypes.byref(written), data,
+                      len(data)) != 1:
+                raise RuntimeError(f"{stem}Update failed")
             if written.value != len(data):
                 raise RuntimeError(
-                    f"EVP_EncryptUpdate wrote {written.value} of "
+                    f"{stem}Update wrote {written.value} of "
                     f"{len(data)} bytes")
             return out.raw
         finally:
@@ -128,10 +136,14 @@ def _probe() -> Optional[_Lib]:
             except (OSError, AttributeError):
                 continue
             try:
-                answer = lib.encrypt_ecb(_KAT_KEY, _KAT_PLAINTEXT)
+                passed = (
+                    lib.ecb(_KAT_KEY, _KAT_PLAINTEXT, False)
+                    == _KAT_CIPHERTEXT
+                    and lib.ecb(_KAT_KEY, _KAT_CIPHERTEXT, True)
+                    == _KAT_PLAINTEXT)
             except RuntimeError:
                 continue
-            if answer == _KAT_CIPHERTEXT:
+            if passed:
                 _LIB = lib
                 break
         _PROBED = True
@@ -156,6 +168,13 @@ class EvpBackend(Backend):
     vectorized = True
 
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
+        return self._ecb(key, data, decrypt=False)
+
+    def decrypt_blocks(self, key: bytes, data: bytes) -> bytes:
+        return self._ecb(key, data, decrypt=True)
+
+    @staticmethod
+    def _ecb(key: bytes, data: bytes, decrypt: bool) -> bytes:
         if len(key) != 16:
             raise ValueError("AES-128 key must be 16 bytes")
         if len(data) % _BLOCK:
@@ -168,7 +187,7 @@ class EvpBackend(Backend):
                 "OpenSSL EVP is unavailable in this environment")
         if not data:
             return b""
-        return lib.encrypt_ecb(key, data)
+        return lib.ecb(key, data, decrypt)
 
 
 __all__ = ["EvpBackend", "have_evp", "openssl_version"]

@@ -141,6 +141,43 @@ class TestNon96BitIv:
         b = gcm_encrypt(K96, bytes(13), P60)[0]
         assert a != b
 
+    @pytest.mark.parametrize("iv, tag", [
+        # NIST GCM test cases 5 (64-bit IV) and 6 (480-bit IV).
+        ("cafebabefacedbad", "3612d2e79e3b0785561be14aaca2fccb"),
+        ("9313225df88406e555909c5aff5269aa6a7a9538534f7da1e4c303d2"
+         "a318a728c3c0c95156809539fcf0e2429a6b525416aedbf5a0de6a57"
+         "a637b39b", "619cc5aefffe0bfa462af43c1699d050"),
+    ])
+    def test_nist_known_answer(self, iv, tag):
+        ct, got = gcm_encrypt(K96, bytes.fromhex(iv), P60, AAD)
+        assert got.hex() == tag
+        assert gcm_decrypt(K96, bytes.fromhex(iv), ct, got, AAD) == P60
+
+
+class TestNoGoldenModel:
+    """H, E(K, J0) and the payload all run on the batch engine: the
+    entry points never build the straightforward model."""
+
+    @pytest.fixture(autouse=True)
+    def _refuse_golden(self, monkeypatch):
+        from repro.aes import cipher
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("GCM built a golden AES128")
+
+        monkeypatch.setattr(cipher.AES128, "__init__", refuse)
+
+    @pytest.mark.parametrize("iv_len", [12, 8, 16])
+    def test_round_trip(self, iv_len):
+        iv = bytes(range(iv_len))
+        ct, tag = gcm_encrypt(K96, iv, P60, AAD)
+        assert gcm_decrypt(K96, iv, ct, tag, AAD) == P60
+
+    def test_auth_failure(self):
+        ct, tag = gcm_encrypt(K96, IV96, P60, AAD)
+        with pytest.raises(AuthenticationError):
+            gcm_decrypt(K96, IV96, ct, bytes(16), AAD)
+
 
 class TestGf128:
     def test_identity_element(self):

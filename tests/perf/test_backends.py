@@ -1,25 +1,39 @@
 """Backends must agree bit-for-bit with the straightforward model."""
 
 import random
+import time
 
 import pytest
 
 from repro.aes.cipher import AES128
 from repro.aes.key_schedule import expand_key
 from repro.aes.vectors import (
+    FIPS197_APPENDIX_C1,
     SP800_38A_ECB128_CIPHERTEXT,
     SP800_38A_ECB128_KEY,
     SP800_38A_ECB128_PLAINTEXT,
 )
+from repro.perf import backends as backends_mod
 from repro.perf.backends import (
+    _FORWARD,
+    _INVERSE,
+    _NP_MIN_BLOCKS,
+    _SCHEDULE,
     BaselineBackend,
     RoundKeyCache,
     SlicedBackend,
     TTableBackend,
+    _sliced_numpy,
+    _sliced_python,
     available_backends,
     get_backend,
     have_numpy,
+    inverse_schedule,
 )
+from repro.perf.evp import EvpBackend, have_evp
+
+needs_numpy = pytest.mark.skipif(not have_numpy(),
+                                 reason="numpy not available")
 
 
 def serial_ecb(key, data):
@@ -28,11 +42,19 @@ def serial_ecb(key, data):
                     for i in range(0, len(data), 16))
 
 
+def serial_ecb_decrypt(key, data):
+    aes = AES128(key)
+    return b"".join(aes.decrypt_block(data[i:i + 16])
+                    for i in range(0, len(data), 16))
+
+
 def all_backends():
     backends = [BaselineBackend(), TTableBackend(),
                 SlicedBackend(vectorize=False)]
     if have_numpy():
         backends.append(SlicedBackend(vectorize=True))
+    if have_evp():
+        backends.append(EvpBackend())
     return backends
 
 
@@ -56,6 +78,29 @@ class TestEquivalence:
     def test_empty(self, backend):
         assert backend.encrypt_blocks(bytes(16), b"") == b""
 
+    def test_fips197_decrypt(self, backend):
+        vector = FIPS197_APPENDIX_C1
+        assert backend.decrypt_blocks(vector.key, vector.ciphertext) \
+            == vector.plaintext
+
+    def test_round_trip(self, backend):
+        rng = random.Random(13)
+        key = rng.randbytes(16)
+        data = rng.randbytes(16 * (_NP_MIN_BLOCKS + 3))
+        assert backend.decrypt_blocks(
+            key, backend.encrypt_blocks(key, data)) == data
+
+    def test_random_decrypt_corpus(self, backend):
+        rng = random.Random(17)
+        for blocks in (1, 2, _NP_MIN_BLOCKS - 1, _NP_MIN_BLOCKS, 48):
+            key = rng.randbytes(16)
+            data = rng.randbytes(16 * blocks)
+            assert backend.decrypt_blocks(key, data) == \
+                serial_ecb_decrypt(key, data)
+
+    def test_empty_decrypt(self, backend):
+        assert backend.decrypt_blocks(bytes(16), b"") == b""
+
 
 class TestSlicedVariants:
     def test_pure_matches_vectorized(self):
@@ -68,6 +113,80 @@ class TestSlicedVariants:
         fast = SlicedBackend(vectorize=True)
         assert pure.encrypt_blocks(key, data) == \
             fast.encrypt_blocks(key, data)
+        assert pure.decrypt_blocks(key, data) == \
+            fast.decrypt_blocks(key, data)
+
+    @needs_numpy
+    @pytest.mark.parametrize("blocks", [_NP_MIN_BLOCKS - 1,
+                                        _NP_MIN_BLOCKS,
+                                        _NP_MIN_BLOCKS + 1])
+    def test_pure_matches_vectorized_at_threshold(self, blocks):
+        rng = random.Random(11 + blocks)
+        key = rng.randbytes(16)
+        data = rng.randbytes(16 * blocks)
+        cache = RoundKeyCache()
+        for schedule, direction in (
+                (cache.words(key), _FORWARD),
+                (cache.words(key, inverse=True), _INVERSE)):
+            assert _sliced_python(schedule, data, direction) == \
+                _sliced_numpy(schedule, data, direction)
+
+    @needs_numpy
+    def test_numpy_loop_selected_by_batch_size(self, monkeypatch):
+        calls = []
+
+        def spy(rk, data, direction):
+            calls.append(len(data) // 16)
+            return _sliced_python(rk, data, direction)
+
+        monkeypatch.setattr(backends_mod, "_sliced_numpy", spy)
+        backend = SlicedBackend()
+        key = bytes(range(16))
+        for run in (backend.encrypt_blocks, backend.decrypt_blocks):
+            calls.clear()
+            run(key, bytes(16 * (_NP_MIN_BLOCKS - 1)))
+            assert calls == []
+            run(key, bytes(16 * _NP_MIN_BLOCKS))
+            assert calls == [_NP_MIN_BLOCKS]
+
+    @needs_numpy
+    def test_bulk_decrypt_costs_like_encrypt(self):
+        """1 MiB through the numpy inverse loop stays within 2x of
+        the forward loop (best of three, same buffer)."""
+        backend = SlicedBackend()
+        key = bytes(range(16))
+        data = random.Random(19).randbytes(1 << 20)
+
+        def best(run):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                run(key, data)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(backend.decrypt_blocks) <= \
+            2 * best(backend.encrypt_blocks)
+
+    def test_inverse_schedule_is_equivalent_inverse_cipher(self):
+        """FIPS-197 §5.3.5: round keys in reverse round order, with
+        InvMixColumns on rounds 1..9 (checked against the golden
+        transform), held in the inverse loop's column order."""
+        from repro.aes.state import State
+        from repro.aes.transforms import inv_mix_columns
+
+        schedule = expand_key(FIPS197_APPENDIX_C1.key, 10)
+        dk = inverse_schedule(schedule)
+        for rnd in range(11):
+            words = schedule[4 * rnd:4 * rnd + 4]
+            if 0 < rnd < 10:
+                packed = b"".join(w.to_bytes(4, "big") for w in words)
+                mixed = inv_mix_columns(State(packed)).to_bytes()
+                words = [int.from_bytes(mixed[i:i + 4], "big")
+                         for i in range(0, 16, 4)]
+            base = 4 * (10 - rnd)
+            assert dk[base:base + 4] == \
+                [words[j] for j in _INVERSE.order]
 
     def test_vectorize_flag_reported(self):
         assert SlicedBackend(vectorize=False).vectorized is False
@@ -164,6 +283,31 @@ class TestRoundKeyCacheHygiene:
         assert len(cache) == 0
         assert all(not any(buffer) for buffer in buffers)
 
+    def test_inverse_schedule_lives_in_the_entry(self):
+        cache = RoundKeyCache()
+        key = bytes(range(16))
+        inverse = cache.words(key, inverse=True)
+        buffer = self._buffer(cache, key)
+        assert _SCHEDULE.unpack_from(buffer, _SCHEDULE.size) == inverse
+        assert inverse == tuple(
+            inverse_schedule(expand_key(key, 10)))
+
+    @pytest.mark.parametrize("how", ["evict", "discard", "clear"])
+    def test_inverse_schedule_zeroized(self, how):
+        cache = RoundKeyCache(capacity=1)
+        key = bytes(range(16))
+        cache.words(key, inverse=True)
+        buffer = self._buffer(cache, key)
+        assert any(buffer[_SCHEDULE.size:])
+        if how == "evict":
+            cache.words(bytes(16))
+        elif how == "discard":
+            cache.discard(key)
+        else:
+            cache.clear()
+        assert key not in cache._entries
+        assert not any(buffer[_SCHEDULE.size:])
+
     def test_words_tuple_survives_wipe(self):
         """Callers hold an unpacked tuple, never the buffer — a
         concurrent wipe must not corrupt in-flight schedules."""
@@ -189,6 +333,26 @@ class TestRoundKeyCacheHygiene:
         forget_key(key)
         if cache is not None:
             assert key not in cache._entries
+        assert subkey not in ghash_mod._TABLES
+
+    def test_forget_key_builds_no_golden_cipher(self, monkeypatch):
+        from repro.aes import cipher
+        from repro.aes import ghash as ghash_mod
+        from repro.perf.engine import default_engine, forget_key
+
+        key = bytes(range(16))
+        subkey = int.from_bytes(
+            AES128(key).encrypt_block(bytes(16)), "big")
+        default_engine().decrypt_blocks(key, bytes(16))
+        ghash_mod.get_provider("table").digest(subkey, (b"x" * 16,))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forget_key built a golden AES128")
+
+        monkeypatch.setattr(cipher.AES128, "__init__", refuse)
+        forget_key(key)
+        cache = default_engine().backend.cache
+        assert key not in cache._entries
         assert subkey not in ghash_mod._TABLES
 
     def test_forget_key_tolerates_garbage(self):

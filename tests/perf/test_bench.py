@@ -37,7 +37,7 @@ class TestCrossCheck:
         assert summary["mismatches"] == 0
         assert "sliced" in summary["backends"]
         assert sorted(summary["primitives"]) == \
-            ["ctr", "ecb", "gctr"]
+            ["ctr", "ecb", "ecb_decrypt", "gctr"]
 
     def test_broken_backend_is_caught(self):
         with pytest.raises(BackendMismatch, match="corrupt"):

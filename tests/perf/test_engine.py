@@ -51,6 +51,15 @@ class TestPrimitives:
         assert BatchEngine().xcrypt_ecb(KEY, data) == \
             serial_ecb(KEY, data)
 
+    def test_ecb_decrypt_matches_serial(self):
+        data = random.Random(5).randbytes(16 * 20)
+        aes = AES128(KEY)
+        want = b"".join(aes.decrypt_block(data[i:i + 16])
+                        for i in range(0, len(data), 16))
+        engine = BatchEngine()
+        assert engine.decrypt_blocks(KEY, data) == want
+        assert engine.encrypt_blocks(KEY, want) == data
+
     def test_keystream_matches_serial(self):
         engine = BatchEngine()
         stream = engine.keystream(KEY, NONCE, 5, initial=3)
@@ -79,6 +88,7 @@ class TestPrimitives:
     def test_empty_inputs(self):
         engine = BatchEngine()
         assert engine.xcrypt_ecb(KEY, b"") == b""
+        assert engine.decrypt_blocks(KEY, b"") == b""
         assert engine.xcrypt_ctr(KEY, NONCE, b"") == b""
         assert engine.keystream(KEY, NONCE, 0) == b""
         assert engine.gctr(KEY, bytes(16), b"") == b""
@@ -92,6 +102,12 @@ class TestValidation:
     def test_unaligned_ecb(self):
         with pytest.raises(ValueError):
             BatchEngine().xcrypt_ecb(KEY, bytes(15))
+        with pytest.raises(ValueError):
+            BatchEngine().decrypt_blocks(KEY, bytes(15))
+
+    def test_bad_key_length_decrypt(self):
+        with pytest.raises(ValueError):
+            BatchEngine().decrypt_blocks(bytes(8), bytes(16))
 
     def test_bad_nonce_length(self):
         with pytest.raises(ValueError):
@@ -115,6 +131,8 @@ class TestSharding:
             serial.xcrypt_ecb(KEY, data)
         assert sharded.xcrypt_ctr(KEY, NONCE, data) == \
             serial.xcrypt_ctr(KEY, NONCE, data)
+        assert sharded.decrypt_blocks(KEY, data) == \
+            serial.decrypt_blocks(KEY, data)
 
     def test_small_buffers_stay_single_shard(self):
         engine = BatchEngine(workers=8)
@@ -185,6 +203,19 @@ class TestEngineMetrics:
             before_ops + 1
         assert blocks.value == before_blocks + 3
         assert gauge.value == 1
+
+    def test_decrypt_counted_as_its_own_primitive(self):
+        from repro.obs.metrics import global_registry
+
+        registry = global_registry()
+        ops = registry.get("repro_engine_ops_total")
+        blocks = registry.get("repro_engine_blocks_total")
+        before_ops = ops.labels(primitive="decrypt_blocks").value
+        before_blocks = blocks.value
+        BatchEngine("baseline").decrypt_blocks(KEY, bytes(16 * 2))
+        assert ops.labels(primitive="decrypt_blocks").value == \
+            before_ops + 1
+        assert blocks.value == before_blocks + 2
 
     def test_shard_latency_observed(self):
         from repro.obs.metrics import global_registry

@@ -85,3 +85,21 @@ class TestEquivalence:
         data = _RNG.randbytes(5 * BLOCK - 3)
         assert engine.xcrypt_ctr(key, nonce, data) == \
             ref.xcrypt_ctr(key, nonce, data)
+
+
+@needs_evp
+class TestProbe:
+    def test_library_failing_decrypt_kat_is_not_registered(
+            self, monkeypatch):
+        from repro.perf import evp
+
+        class BadDecrypt(evp._Lib):
+            def ecb(self, key, data, decrypt):
+                out = super().ecb(key, data, decrypt)
+                return bytes(len(out)) if decrypt else out
+
+        monkeypatch.setattr(evp, "_Lib", BadDecrypt)
+        monkeypatch.setattr(evp, "_LIB", None)
+        monkeypatch.setattr(evp, "_PROBED", False)
+        assert not have_evp()
+        assert "evp" not in available_backends()

@@ -191,6 +191,28 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_max_payload_ecb_decrypt_within_request_timeout(self):
+        """A MAX_PAYLOAD ECB DECRYPT is bounded work: it runs on the
+        batch engine's inverse cipher, answers OK inside the default
+        ``request_timeout`` and round-trips bit-exact."""
+
+        async def scenario():
+            server = await _started()
+            host, port = server.address
+            key = bytes(range(16))
+            data = random.Random(7).randbytes(MAX_PAYLOAD_BYTES)
+            async with CryptoClient(host, port) as client:
+                await client.load_key(key)
+                sealed = await client.encrypt(Mode.ECB, data)
+                assert sealed.status is Status.OK
+                assert sealed.payload == modes.ecb_encrypt(key, data)
+                opened = await client.decrypt(Mode.ECB, sealed.payload)
+                assert opened.status is Status.OK
+                assert opened.payload == data
+            await server.stop()
+
+        asyncio.run(scenario())
+
     def test_unframeable_response_answers_internal(self):
         """Defense in depth behind the up-front size checks: if a
         handler ever produces a response too large to frame, the
