@@ -229,10 +229,9 @@ class CheckConfig:
         "time.sleep", "socket.", "subprocess.", "requests.",
     )
     blocking_call_names: Tuple[str, ...] = (
-        "encrypt_blocks", "xcrypt_ecb", "xcrypt_ctr", "keystream",
-        "gctr", "ecb_encrypt", "ecb_decrypt", "cbc_encrypt",
-        "cbc_decrypt", "ctr_xcrypt", "ctr_stream", "gcm_encrypt",
-        "gcm_decrypt",
+        "encrypt_blocks", "xcrypt_ctr", "keystream", "gctr",
+        "ecb_encrypt", "ecb_decrypt", "cbc_encrypt", "cbc_decrypt",
+        "ctr_xcrypt", "ctr_stream", "gcm_encrypt", "gcm_decrypt",
     )
     #: Function-name patterns the padding-oracle rule treats as
     #: padding validators: their inputs are decrypted plaintext,

@@ -377,7 +377,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             sizes=args.size or None,
             reps=args.reps,
             backend_names=args.backend or None,
-            workers=args.workers,
             serve=not args.no_serve,
             ghash=not args.no_ghash,
             ghash_names=args.ghash or None,
@@ -875,8 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(repeatable, multiples of 16)")
     p.add_argument("--reps", type=int, default=None,
                    help="timing repetitions per workload")
-    p.add_argument("--workers", type=int, default=1,
-                   help="shard count for the parallelizable modes")
     p.add_argument("--no-serve", action="store_true",
                    help="skip the loopback serve scenario (matrix "
                         "and equivalence gate only)")

@@ -5,18 +5,19 @@ processing speed running cryptography algorithms in general software".
 This subpackage is the software side of that argument, engineered the
 way high-traffic deployments actually run block ciphers:
 
-- :mod:`repro.perf.backends` — pluggable bulk block-cipher backends,
-  each with ``encrypt_blocks`` and ``decrypt_blocks``: the
+- :mod:`repro.perf.backends` — one bulk block-cipher backend per
+  role, each with ``encrypt_blocks`` and ``decrypt_blocks``: the
   straightforward model (:class:`repro.aes.cipher.AES128`, the golden
-  reference), the per-block T-table path (:mod:`repro.aes.fast`), and
-  a word-sliced *batch* T-table backend that amortizes key expansion
-  through an LRU round-key cache and processes many blocks per call —
-  vectorized with numpy for large batches when numpy is available,
-  pure Python otherwise.
+  reference) and the default word-sliced *batch* T-table backend,
+  which amortizes key expansion through an LRU round-key cache and
+  processes many blocks per call — vectorized with numpy for large
+  batches when numpy is available, pure Python otherwise.
+- :mod:`repro.perf.evp` — the opt-in OpenSSL EVP ceiling, registered
+  only where libcrypto passes its known-answer test.
 - :mod:`repro.perf.engine` — :class:`~repro.perf.engine.BatchEngine`,
-  one interface over every backend with ``concurrent.futures``
-  sharding for the parallelizable modes (ECB in both directions, CTR
-  keystream, GCTR).
+  one interface over every backend for the batchable modes (ECB in
+  both directions, CTR keystream, GCTR), one backend call per
+  buffer.
   Feedback modes (CBC/CFB) stay serial by construction — the paper's
   point that chaining makes per-block latency the whole story.
 - :mod:`repro.perf.bench` — the benchmark harness: a pinned workload
@@ -35,7 +36,6 @@ from repro.perf.backends import (
     BaselineBackend,
     RoundKeyCache,
     SlicedBackend,
-    TTableBackend,
     available_backends,
     get_backend,
     have_numpy,
@@ -57,7 +57,6 @@ __all__ = [
     "EvpBackend",
     "RoundKeyCache",
     "SlicedBackend",
-    "TTableBackend",
     "available_backends",
     "default_engine",
     "forget_key",

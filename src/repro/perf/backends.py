@@ -1,8 +1,8 @@
 """Bulk block-cipher backends for the batch throughput engine.
 
 A backend turns ``(key, many 16-byte blocks)`` into ciphertext — or,
-through ``decrypt_blocks``, back into plaintext — in one call.  Three
-are provided, in increasing order of software ambition:
+through ``decrypt_blocks``, back into plaintext — in one call.  Two
+live here, plus the opt-in OpenSSL ceiling in :mod:`repro.perf.evp`:
 
 ``baseline``
     The straightforward model, exactly as the mode layer used it
@@ -10,11 +10,6 @@ are provided, in increasing order of software ambition:
     AES128` (one key expansion per call) and loop block by block.
     This is the reference every other backend must match bit-for-bit,
     and the denominator of every speedup the bench reports.
-
-``ttable``
-    The per-block T-table path (:class:`repro.aes.fast.FastAES128`):
-    fused round tables, still one Python method call per block.  It
-    decrypts through the sliced pure-Python inverse loop.
 
 ``sliced``
     The batch backend this module exists for.  Round keys come from a
@@ -44,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aes.cipher import AES128
 from repro.aes.constants import INV_SBOX, SBOX
-from repro.aes.fast import T0, T1, T2, T3, FastAES128
+from repro.aes.fast import T0, T1, T2, T3
 from repro.aes.key_schedule import expand_key
 from repro.gf.galois import gf_mul
 
@@ -249,7 +244,7 @@ class Backend:
     ``encrypt_blocks`` and ``decrypt_blocks`` receive validated input
     — a 16-byte key and a 16-byte-aligned buffer — and return the ECB
     encryption (decryption) of every block.  Engines layer counter
-    generation, XOR and sharding on top.
+    generation and XOR on top.
     """
 
     #: Registry/bench name; subclasses override.
@@ -287,28 +282,6 @@ class BaselineBackend(Backend):
             aes.decrypt_block(data[i:i + BLOCK])
             for i in range(0, len(data), BLOCK)
         )
-
-
-class TTableBackend(Backend):
-    """Per-block T-table path (:class:`repro.aes.fast.FastAES128`).
-
-    Decryption reuses the sliced pure-Python inverse loop with a
-    schedule expanded per call — no second inverse table set.
-    """
-
-    name = "ttable"
-
-    def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
-        return FastAES128(key).encrypt_ecb(data)
-
-    def decrypt_blocks(self, key: bytes, data: bytes) -> bytes:
-        if len(key) != BLOCK:
-            raise ValueError(
-                f"AES-128 key must be {BLOCK} bytes, got {len(key)}")
-        if not data:
-            return b""
-        schedule = inverse_schedule(expand_key(bytes(key), _ROUNDS))
-        return _sliced_python(schedule, data, _INVERSE)
 
 
 class SlicedBackend(Backend):
@@ -456,7 +429,6 @@ def available_backends() -> Dict[str, Backend]:
     """Fresh instances of every backend, keyed by registry name."""
     backends: Dict[str, Backend] = {
         BaselineBackend.name: BaselineBackend(),
-        TTableBackend.name: TTableBackend(),
         SlicedBackend.name: SlicedBackend(),
     }
     # The OpenSSL-EVP ceiling registers only where a libcrypto passes

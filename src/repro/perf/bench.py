@@ -23,13 +23,12 @@ in a fixed order:
    PRs can assert no-regression against a persisted baseline instead
    of folklore.
 
-JSON schema (``repro-aes/software-throughput/v6``)::
+JSON schema (``repro-aes/software-throughput/v7``)::
 
     {
-      "schema": "repro-aes/software-throughput/v6",
+      "schema": "repro-aes/software-throughput/v7",
       "created_unix": 1754000000,
       "quick": true,
-      "workers": 1,
       "git_rev": "f5387c8..." | "unknown",
       "host": {"platform": ..., "python": ..., "machine": ...,
                "cpu_count": ..., "numpy": "2.4.6" | null,
@@ -72,29 +71,18 @@ JSON schema (``repro-aes/software-throughput/v6``)::
                   ]} | null
     }
 
-v2 added ``git_rev`` (code-revision provenance, best-effort) and the
-``obs`` section (a :mod:`repro.obs.metrics` snapshot of the engine
-instrumentation accumulated during the run).  v3 added the ``serve``
-section: a loopback run of the :mod:`repro.serve` service (in-process
-server, :func:`repro.serve.client.run_load` clients) recording what
-the *whole stack* — framing, asyncio scheduling, queueing, crypto —
-achieves in requests/sec, next to the raw engine rates above it.  v4
-added the ``ghash`` section (provider-by-provider GHASH digest and
-end-to-end GCM rates, with ``bitwise`` as the denominator), the
-GHASH rows of the equivalence gate, and the ``openssl`` host field
-recording whether the EVP ceiling backend was available.  v5 added
-the serve row's ``latency`` section: client-observed nearest-rank
-p50/p95/p99/max request seconds, so a trajectory of bench files
-tracks tail latency next to throughput.  v6 added the ``cluster``
-section: the same closed-loop load driven through the
-:mod:`repro.serve.cluster` gateway against a multi-process worker
-pool, one row per worker count, with ``speedup_vs_single`` recording
-how requests/s scales as workers are added (on a single-CPU host the
-honest answer is "barely" — the row exists to record that, not to
-flatter it).  :func:`load_report` reads v1 through v6, normalizing
-older shapes (``serve`` / ``ghash`` / ``latency`` / ``cluster``
-become ``None`` where a section predates the schema) — so downstream
-comparisons never branch on the version.
+The ``obs`` section is a :mod:`repro.obs.metrics` snapshot of the
+engine instrumentation accumulated during the run; ``serve`` is a
+loopback run of the :mod:`repro.serve` service recording what the
+whole stack achieves in requests/s and client-observed latency next
+to the raw engine rates; ``ghash`` times every GHASH provider with
+``bitwise`` as the denominator; ``cluster`` drives the same closed
+loop through the :mod:`repro.serve.cluster` gateway, one row per
+worker-process count (on a single-CPU host ``speedup_vs_single``
+honestly reads "barely").  v7 dropped v6's top-level ``workers``
+field with the engine's thread sharding.  :func:`load_report` reads
+only the schema :func:`run_bench` writes; older trajectory files
+live in git history.
 """
 
 from __future__ import annotations
@@ -123,12 +111,7 @@ from repro.perf.engine import BackendMismatch, BatchEngine
 
 BLOCK = 16
 
-SCHEMA_V1 = "repro-aes/software-throughput/v1"
-SCHEMA_V2 = "repro-aes/software-throughput/v2"
-SCHEMA_V3 = "repro-aes/software-throughput/v3"
-SCHEMA_V4 = "repro-aes/software-throughput/v4"
-SCHEMA_V5 = "repro-aes/software-throughput/v5"
-SCHEMA = "repro-aes/software-throughput/v6"
+SCHEMA = "repro-aes/software-throughput/v7"
 
 DEFAULT_OUT = "BENCH_software_throughput.json"
 
@@ -397,8 +380,8 @@ def serve_scenario(quick: bool = False,
             "seconds": round(report.seconds, 6),
             "requests_per_s": round(report.requests_per_s, 1),
             "mb_per_s": round(report.mb_per_s, 3),
-            # v5: client-observed latency percentiles next to the
-            # rates (None when no request completed a round-trip).
+            # Client-observed latency percentiles next to the rates
+            # (None when no request completed a round-trip).
             "latency": {
                 key: round(value, 6)
                 for key, value in report.latency.items()
@@ -605,7 +588,6 @@ def run_bench(quick: bool = False,
               sizes: Optional[Sequence[int]] = None,
               reps: Optional[int] = None,
               backend_names: Optional[Sequence[str]] = None,
-              workers: int = 1,
               corpus_blocks: int = 48,
               serve: bool = True,
               ghash: bool = True,
@@ -663,7 +645,7 @@ def run_bench(quick: bool = False,
 
     rows: List[Dict[str, object]] = []
     for name in sorted(backends):
-        engine = BatchEngine(backends[name], workers=workers)
+        engine = BatchEngine(backends[name])
         cap = caps.get(name)
         for mode in BATCH_MODES:
             for size in sizes:
@@ -671,7 +653,7 @@ def run_bench(quick: bool = False,
                 measured = blocks if cap is None else min(blocks, cap)
                 piece = payload[:measured * BLOCK]
                 if mode == "ecb":
-                    fn = lambda p=piece: engine.xcrypt_ecb(key, p)
+                    fn = lambda p=piece: engine.encrypt_blocks(key, p)
                 else:
                     fn = lambda p=piece: engine.xcrypt_ctr(
                         key, nonce, p)
@@ -708,7 +690,6 @@ def run_bench(quick: bool = False,
         "schema": SCHEMA,
         "created_unix": int(time.time()),
         "quick": bool(quick),
-        "workers": int(workers),
         "git_rev": git_revision(),
         "host": host_fingerprint(),
         "equivalence": equivalence,
@@ -763,40 +744,17 @@ def write_report(report: Dict[str, object], out: Path) -> Path:
 
 
 def load_report(path: Path) -> Dict[str, object]:
-    """Read a persisted trajectory file, v1 through v6.
+    """Read a persisted trajectory file written by :func:`run_bench`.
 
-    Older files are normalized to the v6 shape: v1 gains
-    ``git_rev="unknown"`` and an empty ``obs``; v1 and v2 gain
-    ``serve=None``; v1 through v3 gain ``ghash=None``; v1 through v4
-    serve sections gain ``latency=None``; v1 through v5 gain
-    ``cluster=None`` (each section predates those schemas) — so
-    downstream comparisons never need to branch on the schema.  An
-    unrecognized schema raises ``ValueError``.
+    Any other schema raises ``ValueError``.
     """
     report = json.loads(Path(path).read_text())
     schema = report.get("schema")
-    if schema == SCHEMA_V1:
-        report.setdefault("git_rev", "unknown")
-        report.setdefault("obs", {})
-        report.setdefault("serve", None)
-        report.setdefault("ghash", None)
-    elif schema == SCHEMA_V2:
-        report.setdefault("serve", None)
-        report.setdefault("ghash", None)
-    elif schema == SCHEMA_V3:
-        report.setdefault("ghash", None)
-    elif schema not in (SCHEMA_V4, SCHEMA_V5, SCHEMA):
+    if schema != SCHEMA:
         raise ValueError(
             f"unrecognized bench schema {schema!r} in {path} "
-            f"(expected {SCHEMA_V1!r}, {SCHEMA_V2!r}, {SCHEMA_V3!r}, "
-            f"{SCHEMA_V4!r}, {SCHEMA_V5!r} or {SCHEMA!r})"
+            f"(expected {SCHEMA!r})"
         )
-    serve = report.get("serve")
-    if isinstance(serve, dict):
-        # v1–v4 serve rows predate the latency-percentile section.
-        serve.setdefault("latency", None)
-    # v1–v5 predate the cluster scaling section.
-    report.setdefault("cluster", None)
     return report
 
 
@@ -805,12 +763,11 @@ def render_report(report: Dict[str, object]) -> str:
     lines = []
     host = report["host"]
     numpy_note = host["numpy"] or "absent"  # type: ignore[index]
-    rev = str(report.get("git_rev", "unknown"))[:12]
+    rev = str(report["git_rev"])[:12]
     lines.append(
         f"software throughput "
         f"({'quick' if report['quick'] else 'full'} matrix, "
-        f"workers={report['workers']}, numpy={numpy_note}, "
-        f"rev={rev})"
+        f"numpy={numpy_note}, rev={rev})"
     )
     header = (f"{'backend':<10} {'mode':<5} {'size':>9} "
               f"{'blocks/s':>12} {'MB/s':>9} {'vs baseline':>12}")
@@ -862,15 +819,14 @@ def render_report(report: Dict[str, object]) -> str:
         f"x {eq['keys']} key(s), "
         f"{eq['mismatches']} mismatch(es)"
     )
-    if "ghash_providers" in eq:
-        ghash_providers = eq["ghash_providers"]
-        assert isinstance(ghash_providers, list)
-        lines.append(
-            f"ghash equivalence: "
-            f"{len(ghash_providers)} provider(s), "
-            f"{eq['ghash_cases']} case(s), "
-            f"{eq['ghash_mismatches']} mismatch(es)"
-        )
+    ghash_providers = eq["ghash_providers"]
+    assert isinstance(ghash_providers, list)
+    lines.append(
+        f"ghash equivalence: "
+        f"{len(ghash_providers)} provider(s), "
+        f"{eq['ghash_cases']} case(s), "
+        f"{eq['ghash_mismatches']} mismatch(es)"
+    )
     serve = report.get("serve")
     if serve:
         lines.append(

@@ -1,17 +1,15 @@
 """The batch throughput engine: one interface over every backend.
 
 :class:`BatchEngine` is the software counterpart of the paper's IP
-wrapper: the caller hands it a key and a buffer, and the engine picks
-how the blocks actually get processed — which backend runs the T-table
-math, and whether the buffer is sharded across worker threads with
-``concurrent.futures``.
+wrapper: the caller hands it a key and a buffer, and the backend
+behind it processes every block in one call on the calling thread.
 
-Only the *parallelizable* primitives live here: ECB in both
-directions, CTR keystream generation, and GCTR (GCM's 32-bit-counter
-variant).  Each transforms an independent block stream, so a buffer
-can be cut into contiguous shards and processed concurrently.  The
-feedback modes (CBC, CFB) are deliberately absent: block *i* needs
-ciphertext *i - 1*, so no amount of batching hides per-block latency
+Only the *batchable* primitives live here: ECB in both directions,
+CTR keystream generation, and GCTR (GCM's 32-bit-counter variant).
+Each transforms an independent block stream, so a whole buffer goes
+to the backend as one batch.  The feedback modes (CBC, CFB) are
+deliberately absent: block *i* needs ciphertext *i - 1*, so no
+amount of batching hides per-block latency
 — in hardware terms, the paper's 50-cycle block latency is the whole
 story for a chained mode, and :mod:`repro.aes.modes` keeps those
 loops serial.
@@ -24,17 +22,13 @@ does not change when the implementation under it does.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro.obs.metrics import global_registry
 from repro.obs.tracing import trace_span
 from repro.perf.backends import Backend, get_backend
 
 BLOCK = 16
-
-#: Below this many blocks a shard is not worth a thread hop.
-MIN_SHARD_BLOCKS = 256
 
 # Engine instrumentation: children are bound once at import so the
 # per-call cost on the hot path is a dict-free method call.
@@ -48,14 +42,10 @@ _BLOCKS = _REGISTRY.counter(
     "repro_engine_blocks_total",
     "16-byte blocks processed by the batch engine",
 )
-_SHARD_SECONDS = _REGISTRY.histogram(
+_CALL_SECONDS = _REGISTRY.histogram(
     "repro_engine_shard_seconds",
-    "Wall-clock seconds spent encrypting one shard",
+    "Wall-clock seconds spent in one backend call",
     labels=("backend",),
-)
-_WORKERS_EFFECTIVE = _REGISTRY.gauge(
-    "repro_engine_workers_effective",
-    "Effective worker count of the last sharded call",
 )
 _BACKEND_SELECTED = _REGISTRY.counter(
     "repro_engine_backend_selected_total",
@@ -81,46 +71,23 @@ class BackendMismatch(ValueError):
 class BatchEngine:
     """Batched block-cipher work over a pluggable backend.
 
-    ``backend`` is a registry name (``baseline`` / ``ttable`` /
-    ``sliced`` / ``auto``) or a :class:`~repro.perf.backends.Backend`
-    instance.  ``workers`` > 1 shards large buffers across a thread
-    pool; the default of 1 keeps everything on the calling thread
-    (CPython's GIL serializes the pure-Python backends anyway — the
-    sharding pays off for vectorized or future native backends, and
-    the shard plan is identical either way, so results never depend
-    on the worker count).
+    ``backend`` is a registry name (``baseline`` / ``sliced`` /
+    ``evp`` / ``auto``) or a :class:`~repro.perf.backends.Backend`
+    instance.  Every call runs on the calling thread; callers that
+    want concurrency (the serve layer's executor) run several engine
+    calls at once instead.
     """
 
-    def __init__(self, backend: Union[str, Backend] = "auto",
-                 workers: int = 1):
+    def __init__(self, backend: Union[str, Backend] = "auto"):
         if isinstance(backend, str):
             backend = get_backend(backend)
         self._backend = backend
-        self._workers = max(1, int(workers))
-        self._effective_workers = 1
         _BACKEND_SELECTED.labels(backend=backend.name).inc()
 
     @property
     def backend(self) -> Backend:
         """The backend currently doing the block math."""
         return self._backend
-
-    @property
-    def workers(self) -> int:
-        """Configured shard ceiling for the parallelizable primitives."""
-        return self._workers
-
-    @property
-    def effective_workers(self) -> int:
-        """Workers the last call actually used.
-
-        The shard plan can produce fewer shards than the configured
-        ``workers`` (small buffers shard less); the executor is sized
-        to the shards, never the configured ceiling, and this property
-        (plus the ``repro_engine_workers_effective`` gauge) reports
-        what really ran.
-        """
-        return self._effective_workers
 
     # ------------------------------------------------------------ ECB
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
@@ -132,7 +99,7 @@ class BatchEngine:
         return self._blocks(_DECRYPT, key, data)
 
     def _blocks(self, direction: str, key: bytes, data: bytes) -> bytes:
-        """Validate, count, trace and shard one ECB-direction call."""
+        """Validate, count, trace and time one ECB-direction call."""
         key = bytes(key)
         if len(key) != BLOCK:
             raise ValueError(
@@ -145,35 +112,18 @@ class BatchEngine:
             )
         if not data:
             return b""
+        blocks = len(data) // BLOCK
         _OPS_ECB[direction].inc()
-        _BLOCKS.inc(len(data) // BLOCK)
-        shards = self._shards(data)
-        effective = min(self._workers, len(shards))
-        self._effective_workers = effective
-        _WORKERS_EFFECTIVE.set(effective)
-        run = getattr(self._backend, direction)
-
-        def one_shard(shard: bytes) -> bytes:
+        _BLOCKS.inc(blocks)
+        backend = self._backend
+        with trace_span(f"engine.{direction}", backend=backend.name,
+                        blocks=blocks):
             start = time.perf_counter()
-            out = run(key, shard)
-            _SHARD_SECONDS.labels(backend=self._backend.name).observe(
+            out = getattr(backend, direction)(key, data)
+            _CALL_SECONDS.labels(backend=backend.name).observe(
                 time.perf_counter() - start
             )
-            return out
-
-        with trace_span(f"engine.{direction}",
-                        backend=self._backend.name,
-                        blocks=len(data) // BLOCK,
-                        shards=len(shards), workers=effective):
-            if len(shards) == 1:
-                return one_shard(data)
-            with ThreadPoolExecutor(max_workers=effective) as pool:
-                return b"".join(pool.map(one_shard, shards))
-
-    def xcrypt_ecb(self, key: bytes, data: bytes) -> bytes:
-        """ECB encryption over the batch path (see
-        :meth:`decrypt_blocks` for the inverse direction)."""
-        return self.encrypt_blocks(key, data)
+        return out
 
     # ------------------------------------------------------------ CTR
     def keystream(self, key: bytes, nonce: bytes, blocks: int,
@@ -230,23 +180,6 @@ class BatchEngine:
         stream = self.encrypt_blocks(key, counters)
         return _xor_bytes(data, stream[:len(data)])
 
-    # ------------------------------------------------------- sharding
-    def _shards(self, data: bytes) -> List[bytes]:
-        """Cut an aligned buffer into contiguous worker shards.
-
-        The plan depends only on the buffer size and the configured
-        worker count — never on timing — so output ordering (and thus
-        the ciphertext) is deterministic.
-        """
-        blocks = len(data) // BLOCK
-        if self._workers == 1 or blocks < 2 * MIN_SHARD_BLOCKS:
-            return [data]
-        shard_count = min(self._workers,
-                          max(1, blocks // MIN_SHARD_BLOCKS))
-        per_shard = -(-blocks // shard_count)  # ceil
-        step = per_shard * BLOCK
-        return [data[i:i + step] for i in range(0, len(data), step)]
-
 
 def _xor_bytes(data: bytes, stream: bytes) -> bytes:
     """XOR two equal-length buffers via one bignum op (C speed)."""
@@ -263,10 +196,10 @@ _DEFAULT: Optional[BatchEngine] = None
 def default_engine() -> BatchEngine:
     """The process-wide engine the mode layer routes bulk work through.
 
-    Auto-selects the sliced backend (numpy-vectorized when available)
-    with serial sharding — the fastest configuration that needs no
-    tuning.  Callers wanting a specific backend or worker count build
-    their own :class:`BatchEngine`.
+    Auto-selects the sliced backend (numpy-vectorized for large
+    batches when available) — the fastest configuration that needs
+    no tuning.  Callers wanting a specific backend build their own
+    :class:`BatchEngine`.
     """
     global _DEFAULT
     if _DEFAULT is None:

@@ -90,7 +90,7 @@ class _Lib:
         """Raw AES-128-ECB over ``data`` (padding disabled).
 
         A fresh context per call keeps the backend thread-safe under
-        the batch engine's executor with zero shared state.
+        the serve layer's executor threads with zero shared state.
         """
         init, update, stem = self.directions[decrypt]
         ctx = self.new()

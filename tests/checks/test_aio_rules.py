@@ -95,7 +95,7 @@ class TestBlockingInCoroutine:
     def test_sync_crypto_entry_point_triggers(self):
         findings = lint("aio.blocking-in-coroutine", mod="""
             async def f(engine, key, data):
-                return engine.xcrypt_ecb(key, data)
+                return engine.encrypt_blocks(key, data)
             """)
         assert len(findings) == 1
 
@@ -132,7 +132,7 @@ class TestBlockingInCoroutine:
             async def f(engine, key, data):
                 loop = asyncio.get_running_loop()
                 return await loop.run_in_executor(
-                    None, engine.xcrypt_ecb, key, data)
+                    None, engine.encrypt_blocks, key, data)
             """)
         assert findings == []
 

@@ -75,10 +75,11 @@ class TestRunBench:
 
     def test_baseline_always_included(self):
         report = run_bench(quick=True, sizes=[128], reps=1,
-                           backend_names=["ttable"],
-                           corpus_blocks=4, cluster=False)
+                           backend_names=["sliced"],
+                           corpus_blocks=4, serve=False, ghash=False,
+                           cluster=False)
         backends = {row["backend"] for row in report["workloads"]}
-        assert {"baseline", "ttable"} <= backends
+        assert backends == {"baseline", "sliced"}
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backends"):
@@ -114,7 +115,7 @@ class TestServeScenario:
         assert row["errors"] == 0
         assert row["requests_per_s"] > 0
         assert row["seconds"] > 0
-        # v5: the latency-percentile section rides along.
+        # The latency-percentile section rides along.
         latency = row["latency"]
         assert latency is not None
         assert set(latency) == {"p50_s", "p95_s", "p99_s", "max_s"}
@@ -189,46 +190,6 @@ class TestLoadReport:
         assert loaded["schema"] == SCHEMA
         assert loaded["git_rev"] == report["git_rev"]
 
-    def test_v1_reader_path_normalizes(self, tmp_path):
-        from repro.perf.bench import SCHEMA_V1, load_report
-
-        v1 = {
-            "schema": SCHEMA_V1,
-            "created_unix": 1754000000,
-            "quick": True,
-            "workers": 1,
-            "host": {"platform": "x", "python": "3.11"},
-            "equivalence": {"mismatches": 0},
-            "workloads": [],
-        }
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(v1))
-        loaded = load_report(path)
-        assert loaded["git_rev"] == "unknown"
-        assert loaded["obs"] == {}
-        assert loaded["workloads"] == []
-        assert loaded["serve"] is None
-
-    def test_v2_reader_path_normalizes_serve(self, tmp_path):
-        from repro.perf.bench import SCHEMA_V2, load_report
-
-        v2 = {
-            "schema": SCHEMA_V2,
-            "created_unix": 1754000000,
-            "quick": True,
-            "workers": 1,
-            "git_rev": "abc123",
-            "host": {"platform": "x", "python": "3.11"},
-            "equivalence": {"mismatches": 0},
-            "workloads": [],
-            "obs": {},
-        }
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps(v2))
-        loaded = load_report(path)
-        assert loaded["git_rev"] == "abc123"
-        assert loaded["serve"] is None
-
     def test_unknown_schema_rejected(self, tmp_path):
         from repro.perf.bench import load_report
 
@@ -237,75 +198,27 @@ class TestLoadReport:
         with pytest.raises(ValueError, match="unrecognized"):
             load_report(path)
 
-    def test_v3_reader_path_normalizes_ghash(self, tmp_path):
-        from repro.perf.bench import SCHEMA_V3, load_report
+    @pytest.mark.parametrize("version", range(1, 7))
+    def test_older_schemas_rejected(self, tmp_path, version):
+        from repro.perf.bench import load_report
 
-        v3 = {
-            "schema": SCHEMA_V3,
-            "created_unix": 1754000000,
-            "quick": True,
-            "workers": 1,
-            "git_rev": "abc123",
-            "host": {"platform": "x", "python": "3.11"},
-            "equivalence": {"mismatches": 0},
-            "workloads": [],
-            "obs": {},
-            "serve": None,
-        }
-        path = tmp_path / "v3.json"
-        path.write_text(json.dumps(v3))
-        loaded = load_report(path)
-        assert loaded["ghash"] is None
-        assert loaded["serve"] is None
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(
+            {"schema": f"repro-aes/software-throughput/v{version}"}))
+        with pytest.raises(ValueError, match="unrecognized"):
+            load_report(path)
 
-    def test_v4_reader_path_normalizes_serve_latency(self, tmp_path):
-        from repro.perf.bench import SCHEMA_V4, load_report
+    def test_committed_trajectory_reads_and_renders(self):
+        from pathlib import Path
 
-        v4 = {
-            "schema": SCHEMA_V4,
-            "created_unix": 1754000000,
-            "quick": True,
-            "workers": 1,
-            "git_rev": "abc123",
-            "host": {"platform": "x", "python": "3.11"},
-            "equivalence": {"mismatches": 0,
-                            "ghash_mismatches": 0},
-            "workloads": [],
-            "obs": {},
-            "ghash": None,
-            "serve": {
-                "clients": 4, "requests_per_client": 8,
-                "mode": "ctr", "payload_bytes": 4096,
-                "requests": 32, "errors": 0, "seconds": 0.1,
-                "requests_per_s": 320.0, "mb_per_s": 12.5,
-            },
-        }
-        path = tmp_path / "v4.json"
-        path.write_text(json.dumps(v4))
-        loaded = load_report(path)
-        # v4 serve rows predate the latency section: normalized in.
-        assert loaded["serve"]["latency"] is None
-        assert loaded["serve"]["requests_per_s"] == 320.0
+        from repro.perf.bench import DEFAULT_OUT, load_report
 
-    def test_older_readers_leave_absent_serve_alone(self, tmp_path):
-        from repro.perf.bench import SCHEMA_V2, load_report
-
-        v2 = {
-            "schema": SCHEMA_V2,
-            "created_unix": 1754000000,
-            "quick": True,
-            "workers": 1,
-            "git_rev": "abc123",
-            "host": {"platform": "x", "python": "3.11"},
-            "equivalence": {"mismatches": 0},
-            "workloads": [],
-            "obs": {},
-        }
-        path = tmp_path / "v2-noserve.json"
-        path.write_text(json.dumps(v2))
-        loaded = load_report(path)
-        assert loaded["serve"] is None  # not a dict with latency
-
+        path = Path(__file__).resolve().parents[2] / DEFAULT_OUT
+        report = load_report(path)
+        assert "workers" not in report
+        assert set(report["equivalence"]["backends"]) >= \
+            {"baseline", "sliced"}
+        assert "software throughput" in render_report(report)
 
 class TestGhashSection:
     def test_cross_check_ghash_gate(self):
@@ -402,62 +315,3 @@ class TestClusterScenario:
                            ghash=False, cluster=False)
         assert report["cluster"] is None
         assert "cluster:" not in render_report(report)
-
-
-class TestLoadReportV6:
-    def test_v5_reader_path_normalizes_cluster(self, tmp_path):
-        from repro.perf.bench import SCHEMA_V5, load_report
-
-        v5 = {
-            "schema": SCHEMA_V5,
-            "created_unix": 1754000000,
-            "quick": True,
-            "workers": 1,
-            "git_rev": "abc123",
-            "host": {"platform": "x", "python": "3.11"},
-            "equivalence": {"mismatches": 0,
-                            "ghash_mismatches": 0},
-            "workloads": [],
-            "obs": {},
-            "ghash": None,
-            "serve": {
-                "clients": 4, "requests_per_client": 8,
-                "mode": "ctr", "payload_bytes": 4096,
-                "requests": 32, "errors": 0, "seconds": 0.1,
-                "requests_per_s": 320.0, "mb_per_s": 12.5,
-                "latency": {"p50_s": 0.01, "p95_s": 0.02,
-                            "p99_s": 0.03, "max_s": 0.04},
-            },
-        }
-        path = tmp_path / "v5.json"
-        path.write_text(json.dumps(v5))
-        loaded = load_report(path)
-        # v5 predates the cluster section: normalized to None, and
-        # the sections it did carry pass through untouched.
-        assert loaded["cluster"] is None
-        assert loaded["serve"]["latency"]["p50_s"] == 0.01
-
-    def test_every_older_schema_normalizes_cluster(self, tmp_path):
-        from repro.perf.bench import (
-            SCHEMA_V1,
-            SCHEMA_V2,
-            SCHEMA_V3,
-            SCHEMA_V4,
-            load_report,
-        )
-
-        base = {
-            "created_unix": 1754000000,
-            "quick": True,
-            "workers": 1,
-            "git_rev": "abc123",
-            "host": {"platform": "x", "python": "3.11"},
-            "equivalence": {"mismatches": 0},
-            "workloads": [],
-            "obs": {},
-        }
-        for schema in (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4):
-            path = tmp_path / f"{schema.rsplit('/', 1)[1]}.json"
-            path.write_text(json.dumps({**base, "schema": schema}))
-            loaded = load_report(path)
-            assert loaded["cluster"] is None, schema

@@ -1,4 +1,4 @@
-"""BatchEngine primitives vs serial references, sharding, validation."""
+"""BatchEngine primitives vs serial references, validation, metrics."""
 
 import random
 
@@ -6,11 +6,7 @@ import pytest
 
 from repro.aes.cipher import AES128
 from repro.perf.backends import BaselineBackend
-from repro.perf.engine import (
-    MIN_SHARD_BLOCKS,
-    BatchEngine,
-    default_engine,
-)
+from repro.perf.engine import BatchEngine, default_engine
 
 KEY = bytes(range(16))
 NONCE = bytes(range(8))
@@ -48,7 +44,7 @@ def serial_gctr(key, icb, data):
 class TestPrimitives:
     def test_ecb_matches_serial(self):
         data = random.Random(1).randbytes(16 * 20)
-        assert BatchEngine().xcrypt_ecb(KEY, data) == \
+        assert BatchEngine().encrypt_blocks(KEY, data) == \
             serial_ecb(KEY, data)
 
     def test_ecb_decrypt_matches_serial(self):
@@ -87,7 +83,7 @@ class TestPrimitives:
 
     def test_empty_inputs(self):
         engine = BatchEngine()
-        assert engine.xcrypt_ecb(KEY, b"") == b""
+        assert engine.encrypt_blocks(KEY, b"") == b""
         assert engine.decrypt_blocks(KEY, b"") == b""
         assert engine.xcrypt_ctr(KEY, NONCE, b"") == b""
         assert engine.keystream(KEY, NONCE, 0) == b""
@@ -97,11 +93,11 @@ class TestPrimitives:
 class TestValidation:
     def test_bad_key_length(self):
         with pytest.raises(ValueError):
-            BatchEngine().xcrypt_ecb(bytes(8), bytes(16))
+            BatchEngine().encrypt_blocks(bytes(8), bytes(16))
 
     def test_unaligned_ecb(self):
         with pytest.raises(ValueError):
-            BatchEngine().xcrypt_ecb(KEY, bytes(15))
+            BatchEngine().encrypt_blocks(KEY, bytes(15))
         with pytest.raises(ValueError):
             BatchEngine().decrypt_blocks(KEY, bytes(15))
 
@@ -122,35 +118,6 @@ class TestValidation:
             BatchEngine().gctr(KEY, bytes(15), bytes(16))
 
 
-class TestSharding:
-    def test_sharded_equals_serial(self):
-        data = random.Random(4).randbytes(16 * 4 * MIN_SHARD_BLOCKS)
-        serial = BatchEngine(workers=1)
-        sharded = BatchEngine(workers=4)
-        assert sharded.xcrypt_ecb(KEY, data) == \
-            serial.xcrypt_ecb(KEY, data)
-        assert sharded.xcrypt_ctr(KEY, NONCE, data) == \
-            serial.xcrypt_ctr(KEY, NONCE, data)
-        assert sharded.decrypt_blocks(KEY, data) == \
-            serial.decrypt_blocks(KEY, data)
-
-    def test_small_buffers_stay_single_shard(self):
-        engine = BatchEngine(workers=8)
-        data = bytes(16 * (2 * MIN_SHARD_BLOCKS - 1))
-        assert engine._shards(data) == [data]
-
-    def test_shard_plan_is_contiguous(self):
-        engine = BatchEngine(workers=4)
-        data = bytes(16 * 4 * MIN_SHARD_BLOCKS)
-        shards = engine._shards(data)
-        assert len(shards) > 1
-        assert b"".join(shards) == data
-        assert all(len(s) % 16 == 0 for s in shards)
-
-    def test_workers_floor(self):
-        assert BatchEngine(workers=0).workers == 1
-
-
 class TestConstruction:
     def test_backend_by_name(self):
         assert BatchEngine("baseline").backend.name == "baseline"
@@ -162,47 +129,24 @@ class TestConstruction:
     def test_default_engine_is_singleton(self):
         assert default_engine() is default_engine()
 
-
-class TestEffectiveWorkers:
-    """The worker clamp: the executor is sized to the shard plan,
-    never the configured ceiling, and the engine reports what ran."""
-
-    def test_defaults_to_one(self):
-        assert BatchEngine().effective_workers == 1
-
-    def test_small_buffer_clamps_to_one(self):
-        engine = BatchEngine(workers=8)
-        engine.xcrypt_ecb(KEY, bytes(16 * 4))
-        assert engine.effective_workers == 1
-
-    def test_large_buffer_uses_configured_workers(self):
-        engine = BatchEngine(workers=4)
-        engine.xcrypt_ecb(KEY, bytes(16 * 4 * MIN_SHARD_BLOCKS))
-        assert engine.effective_workers == 4
-
-    def test_never_exceeds_shard_count(self):
-        engine = BatchEngine(workers=64)
-        data = bytes(16 * 4 * MIN_SHARD_BLOCKS)
-        engine.xcrypt_ecb(KEY, data)
-        assert engine.effective_workers == len(engine._shards(data))
-        assert engine.effective_workers < 64
+    def test_no_workers_knob(self):
+        with pytest.raises(TypeError):
+            BatchEngine("sliced", workers=2)
 
 
 class TestEngineMetrics:
-    def test_ops_blocks_and_gauge_recorded(self):
+    def test_ops_and_blocks_recorded(self):
         from repro.obs.metrics import global_registry
 
         registry = global_registry()
         ops = registry.get("repro_engine_ops_total")
         blocks = registry.get("repro_engine_blocks_total")
-        gauge = registry.get("repro_engine_workers_effective")
         before_ops = ops.labels(primitive="encrypt_blocks").value
         before_blocks = blocks.value
-        BatchEngine("baseline").xcrypt_ecb(KEY, bytes(16 * 3))
+        BatchEngine("baseline").encrypt_blocks(KEY, bytes(16 * 3))
         assert ops.labels(primitive="encrypt_blocks").value == \
             before_ops + 1
         assert blocks.value == before_blocks + 3
-        assert gauge.value == 1
 
     def test_decrypt_counted_as_its_own_primitive(self):
         from repro.obs.metrics import global_registry
@@ -223,7 +167,7 @@ class TestEngineMetrics:
         hist = global_registry().get("repro_engine_shard_seconds")
         child = hist.labels(backend="baseline")
         before = child.count
-        BatchEngine("baseline").xcrypt_ecb(KEY, bytes(16 * 2))
+        BatchEngine("baseline").encrypt_blocks(KEY, bytes(16 * 2))
         assert child.count == before + 1
         assert child.sum >= 0
 
@@ -232,6 +176,6 @@ class TestEngineMetrics:
 
         counter = global_registry().get(
             "repro_engine_backend_selected_total")
-        before = counter.labels(backend="ttable").value
-        BatchEngine("ttable")
-        assert counter.labels(backend="ttable").value == before + 1
+        before = counter.labels(backend="baseline").value
+        BatchEngine("baseline")
+        assert counter.labels(backend="baseline").value == before + 1

@@ -14,6 +14,9 @@ from repro.aes import gcm, modes
 from repro.obs.metrics import global_registry
 from repro.serve.client import CryptoClient, RetryPolicy, run_load
 from repro.serve.protocol import (
+    CTR_NONCE_BYTES,
+    GCM_IV_BYTES,
+    GCM_TAG_BYTES,
     MAX_PAYLOAD_BYTES,
     Frame,
     Mode,
@@ -191,25 +194,57 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
-    def test_max_payload_ecb_decrypt_within_request_timeout(self):
-        """A MAX_PAYLOAD ECB DECRYPT is bounded work: it runs on the
-        batch engine's inverse cipher, answers OK inside the default
-        ``request_timeout`` and round-trips bit-exact."""
+    @pytest.mark.parametrize("op", [Op.ENCRYPT, Op.DECRYPT],
+                             ids=lambda op: op.name)
+    @pytest.mark.parametrize("mode", [Mode.ECB, Mode.CTR, Mode.GCM],
+                             ids=lambda mode: mode.name)
+    def test_max_payload_within_request_timeout(self, mode, op):
+        """Every (op, mode) the server accepts is bounded work: its
+        largest legal request answers OK inside the default
+        ``request_timeout`` and matches the mode layer bit for bit."""
+        key = bytes(range(16))
+        rng = random.Random(7)
+        if mode is Mode.ECB:
+            payload = rng.randbytes(MAX_PAYLOAD_BYTES)
+            want = (modes.ecb_encrypt if op is Op.ENCRYPT
+                    else modes.ecb_decrypt)(key, payload)
+        elif mode is Mode.CTR:
+            nonce = rng.randbytes(CTR_NONCE_BYTES)
+            data = rng.randbytes(MAX_PAYLOAD_BYTES - CTR_NONCE_BYTES)
+            payload = nonce + data
+            want = modes.ctr_xcrypt(key, nonce, data)
+        elif op is Op.ENCRYPT:
+            iv = rng.randbytes(GCM_IV_BYTES)
+            plaintext = rng.randbytes(GCM_MAX_PLAINTEXT_BYTES)
+            payload = iv + plaintext
+            ct, tag = gcm.gcm_encrypt(key, iv, plaintext)
+            want = ct + tag
+        else:
+            iv = rng.randbytes(GCM_IV_BYTES)
+            want = rng.randbytes(
+                MAX_PAYLOAD_BYTES - GCM_IV_BYTES - GCM_TAG_BYTES)
+            ct, tag = gcm.gcm_encrypt(key, iv, want)
+            payload = iv + ct + tag
+        assert len(payload) <= MAX_PAYLOAD_BYTES
+        timeout = ServeConfig().request_timeout
 
         async def scenario():
             server = await _started()
             host, port = server.address
-            key = bytes(range(16))
-            data = random.Random(7).randbytes(MAX_PAYLOAD_BYTES)
-            async with CryptoClient(host, port) as client:
-                await client.load_key(key)
-                sealed = await client.encrypt(Mode.ECB, data)
-                assert sealed.status is Status.OK
-                assert sealed.payload == modes.ecb_encrypt(key, data)
-                opened = await client.decrypt(Mode.ECB, sealed.payload)
-                assert opened.status is Status.OK
-                assert opened.payload == data
-            await server.stop()
+            try:
+                async with CryptoClient(
+                    host, port, retry=RetryPolicy(attempts=1)
+                ) as client:
+                    await client.load_key(key)
+                    loop = asyncio.get_running_loop()
+                    start = loop.time()
+                    reply = await client.request(op, mode, payload)
+                    elapsed = loop.time() - start
+            finally:
+                await server.stop()
+            assert reply.status is Status.OK, reply.payload
+            assert elapsed < timeout
+            assert reply.payload == want
 
         asyncio.run(scenario())
 

@@ -187,7 +187,7 @@ class TestBench:
         assert "wrote" in out
         report = json.loads(out_file.read_text())
         assert report["schema"] == \
-            "repro-aes/software-throughput/v6"
+            "repro-aes/software-throughput/v7"
         assert report["equivalence"]["mismatches"] == 0
         assert report["equivalence"]["ghash_mismatches"] == 0
         assert report["ghash"]["workloads"]

@@ -168,7 +168,8 @@ class TestUsageDocsPinBackends:
     def test_backend_matrix_names_registry(self):
         # Every selectable backend name appears in the docs, whether
         # or not it registers on this host (evp is host-dependent).
-        for name in ("baseline", "ttable", "sliced", "evp"):
+        from repro.perf.backends import available_backends
+        for name in set(available_backends()) | {"evp"}:
             assert f"`{name}`" in self.USAGE, name
 
     def test_ghash_providers_documented(self):
@@ -180,6 +181,8 @@ class TestUsageDocsPinBackends:
     def test_bench_schema_documented(self):
         from repro.perf.bench import SCHEMA
         assert SCHEMA in self.USAGE
+        observability = (REPO / "docs" / "observability.md").read_text()
+        assert SCHEMA in observability
 
     def test_ghash_flags_documented(self):
         assert "--no-ghash" in self.USAGE
