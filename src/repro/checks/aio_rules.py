@@ -26,7 +26,14 @@ helper indirection does not hide a hazard):
   (``BatchEngine`` methods, the mode-layer functions) that must be
   routed through ``run_in_executor``.  Detection is transitive: an
   ``async def`` calling a sync helper whose call chain reaches a
-  blocking primitive is flagged with the chain spelled out.
+  blocking primitive is flagged with the chain spelled out, and a
+  call through a module-level dispatch table (``work =
+  _CRYPTO_OPS.get(key)`` then ``work(...)``) counts as a call of
+  every function in the table.  The one sanctioned exception is a
+  size-bounded inline fast path: a call in the body of ``if
+  len(x) <= LIMIT:`` whose last positional argument (the data
+  operand) is ``x`` itself, with ``LIMIT`` one of
+  :data:`_INLINE_SIZE_LIMITS`.
 - ``aio.unawaited-coroutine`` (error) — a bare-statement call to an
   in-program ``async def``: the coroutine object is created and
   dropped, the body never runs.  Python warns at runtime only if the
@@ -149,6 +156,64 @@ def task_not_retained(subject: FlowSubject,
 
 
 # ------------------------------------------------------------- blocking
+#: Names whose ``len(x) <= NAME`` guard sanctions a blocking call of
+#: ``x``: a deliberate inline fast path whose cost ``NAME`` bounds.
+_INLINE_SIZE_LIMITS = ("INLINE_MAX_BYTES",)
+
+
+def _size_guard_operand(test: ast.expr) -> str:
+    """``x`` for ``len(x) <= LIMIT`` / ``len(x) < LIMIT`` with
+    ``LIMIT`` one of :data:`_INLINE_SIZE_LIMITS`, else ''."""
+    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
+            and isinstance(test.ops[0], (ast.LtE, ast.Lt))):
+        return ""
+    left, right = test.left, test.comparators[0]
+    if isinstance(left, ast.Call) and isinstance(left.func, ast.Name) \
+            and left.func.id == "len" and len(left.args) == 1 \
+            and isinstance(left.args[0], ast.Name) \
+            and isinstance(right, ast.Name) \
+            and right.id in _INLINE_SIZE_LIMITS:
+        return left.args[0].id
+    return ""
+
+
+def _size_guarded(info: FunctionInfo) -> Set[int]:
+    """Ids of the calls in the true branch of a size guard whose last
+    positional argument, the data operand of every crypto entry point
+    (``work(key, payload)``, ``ctr_xcrypt(key, nonce, data)``), is the
+    measured value."""
+    guarded: Set[int] = set()
+    for node in own_nodes(info.node):
+        if not isinstance(node, ast.If):
+            continue
+        operand = _size_guard_operand(node.test)
+        if not operand:
+            continue
+        for stmt in node.body:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Call) and sub.args \
+                        and isinstance(sub.args[-1], ast.Name) \
+                        and sub.args[-1].id == operand:
+                    guarded.add(id(sub))
+    return guarded
+
+
+def _blocking_reason(program: FlowProgram, call: ast.Call,
+                     info: FunctionInfo) -> Optional[str]:
+    """Why ``call`` blocks the loop, phrased for a finding, or None."""
+    direct = program.direct_blocking_call(call)
+    if direct is not None:
+        return f"blocking {direct}()"
+    edge = program.resolve(call, info)
+    if edge is None or edge.callee.is_async:
+        return None
+    chain = program.blocking_chain(edge.callee)
+    if chain is None:
+        return None
+    path = " -> ".join((edge.callee.display, *chain))
+    return f"{edge.callee.display}(), which blocks transitively ({path})"
+
+
 @rule("aio.blocking-in-coroutine", Severity.ERROR, KIND_FLOW,
       "blocking call (time.sleep/socket/sync crypto) executed "
       "directly inside an async def instead of run_in_executor")
@@ -158,38 +223,27 @@ def blocking_in_coroutine(subject: FlowSubject,
     for info in program:
         if not info.is_async:
             continue
-        reported: Set[int] = set()
+        guarded = _size_guarded(info)
         for node in own_nodes(info.node):
-            if not isinstance(node, ast.Call) or \
-                    id(node) in reported:
+            if not isinstance(node, ast.Call) or id(node) in guarded:
                 continue
-            direct = program.direct_blocking_call(node)
-            if direct is not None:
-                reported.add(id(node))
-                yield Finding(
-                    "aio.blocking-in-coroutine", Severity.ERROR,
-                    f"direct call to blocking {direct}() inside "
-                    f"async def {info.name}; route it through "
-                    f"loop.run_in_executor so the event loop "
-                    f"stays responsive",
-                    _location(info, node),
-                )
+            reason = _blocking_reason(program, node, info)
+            how = "calls"
+            if reason is None:
+                table, targets = program.dispatch_targets(node, info)
+                how = f"calls, through dispatch table {table},"
+                reason = next(
+                    (r for r in (_blocking_reason(program, t, info)
+                                 for t in targets) if r), None)
+            if reason is None:
                 continue
-            edge = program.resolve(node, info)
-            if edge is None or edge.callee.is_async:
-                continue
-            chain = program.blocking_chain(edge.callee)
-            if chain is not None:
-                reported.add(id(node))
-                path = " -> ".join((edge.callee.display, *chain))
-                yield Finding(
-                    "aio.blocking-in-coroutine", Severity.ERROR,
-                    f"call to {edge.callee.display}() inside "
-                    f"async def {info.name} blocks the loop "
-                    f"transitively ({path}); route it through "
-                    f"loop.run_in_executor",
-                    _location(info, node),
-                )
+            yield Finding(
+                "aio.blocking-in-coroutine", Severity.ERROR,
+                f"async def {info.name} {how} {reason}; route it "
+                f"through loop.run_in_executor so the event loop "
+                f"stays responsive",
+                _location(info, node),
+            )
 
 
 # ------------------------------------------------------------ unawaited

@@ -224,6 +224,9 @@ class FlowProgram:
         #: Sync functions that (transitively) call a blocking
         #: primitive: qualname -> the call chain that proves it.
         self._blocking: Dict[str, Tuple[str, ...]] = {}
+        #: Module-level dicts whose values are all named functions:
+        #: (path, dict name) -> the value expressions.
+        self._tables: Dict[Tuple[str, str], List[ast.expr]] = {}
         self._taint_cache: Dict[str, Set[str]] = {}
         self._collect(sources)
         self._resolve_calls()
@@ -234,6 +237,22 @@ class FlowProgram:
     def _collect(self, sources: Sequence[SourceFile]) -> None:
         for source in sources:
             self._collect_scope(source.path, source.tree, None)
+            self._collect_tables(source.path, source.tree)
+
+    def _collect_tables(self, path: str, tree: ast.AST) -> None:
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+            elif isinstance(node, ast.AnnAssign):
+                target = node.target
+            else:
+                continue
+            value = node.value
+            if isinstance(target, ast.Name) \
+                    and isinstance(value, ast.Dict) and value.values \
+                    and all(isinstance(v, (ast.Name, ast.Attribute))
+                            for v in value.values):
+                self._tables[(path, target.id)] = list(value.values)
 
     def _collect_scope(self, path: str, scope: ast.AST,
                        class_name: Optional[str]) -> None:
@@ -337,6 +356,41 @@ class FlowProgram:
 
     def edges(self, info: FunctionInfo) -> List[CallEdge]:
         return self._edges.get(info.qualname, [])
+
+    def dispatch_targets(self, call: ast.Call, caller: FunctionInfo,
+                         ) -> Tuple[str, List[ast.Call]]:
+        """A call through a module-level dispatch table, fanned out.
+
+        A call of a local bound from ``TABLE.get(key)`` or
+        ``TABLE[key]`` may reach any value of ``TABLE``.  Returns the
+        table name and one synthetic call per value, carrying the
+        original arguments, so the resolution and blocking queries
+        apply to each unchanged; ``("", [])`` for any other call.
+        """
+        if not isinstance(call.func, ast.Name):
+            return "", []
+        for node in own_nodes(caller.node):
+            if not (isinstance(node, ast.Assign)
+                    and _assign_targets(node) == [call.func.id]):
+                continue
+            lookup = node.value
+            if isinstance(lookup, ast.Call) \
+                    and isinstance(lookup.func, ast.Attribute) \
+                    and lookup.func.attr == "get":
+                base = lookup.func.value
+            elif isinstance(lookup, ast.Subscript):
+                base = lookup.value
+            else:
+                continue
+            if isinstance(base, ast.Name) \
+                    and (caller.path, base.id) in self._tables:
+                return base.id, [
+                    ast.copy_location(
+                        ast.Call(func=value, args=call.args,
+                                 keywords=call.keywords), call)
+                    for value in self._tables[(caller.path, base.id)]
+                ]
+        return "", []
 
     # ----------------------------------------------------- taint reads
     def declassified_call(self, node: ast.Call) -> bool:

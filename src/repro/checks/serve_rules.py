@@ -22,8 +22,10 @@ an unbounded one always is.
   bound is the defect.
 - ``serve.missing-timeout`` — an ``await`` applied directly to a
   stream call that can block on the peer (``readexactly``, ``drain``,
-  ``wait_closed``, ``open_connection``, ...) without an enclosing
-  ``asyncio.wait_for``.  Every socket await in the serving layer is
+  ``wait_closed``, ``open_connection``, ...) with no bound: neither
+  wrapped in ``asyncio.wait_for`` nor inside the body of an
+  ``async with asyncio.timeout(...)`` / ``timeout_at(...)`` scope of
+  the same function.  Every socket await in the serving layer is
   bounded; the codec helpers exist precisely so call sites never
   write a bare stream await.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import ast
 import fnmatch
-from typing import Iterator
+from typing import Iterator, Set
 
 from repro.checks.crypto_lint import SourceFile
 from repro.checks.engine import (
@@ -49,7 +51,7 @@ _QUEUE_TYPES = {"Queue", "LifoQueue", "PriorityQueue"}
 
 #: Stream-API attribute calls that block on the remote peer.  A bare
 #: ``await`` on any of these is a hang waiting to happen; each must
-#: sit inside ``asyncio.wait_for`` (or ``wait`` / ``timeout``).
+#: sit inside ``asyncio.wait_for`` (or ``wait``) or a timeout scope.
 _RISKY_AWAITS = {
     "read", "readline", "readexactly", "readuntil", "drain",
     "wait_closed", "open_connection", "start_tls",
@@ -58,6 +60,13 @@ _RISKY_AWAITS = {
 #: Wrappers that bound an await: the timeout context managers and
 #: ``asyncio.wait_for`` / ``asyncio.wait``.
 _TIMEOUT_WRAPPERS = {"wait_for", "wait", "timeout", "timeout_at"}
+
+#: Context managers whose ``async with`` body runs under a deadline.
+_TIMEOUT_SCOPES = {"timeout", "timeout_at"}
+
+#: Nodes that open a new function: a deadline in the enclosing body
+#: does not bound the awaits of a function defined inside it.
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def _in_scope(subject: SourceFile, config: CheckConfig) -> bool:
@@ -155,20 +164,52 @@ def _is_timeout_wrapped(value: ast.expr) -> bool:
             and _call_name(value) in _TIMEOUT_WRAPPERS)
 
 
+def _opens_timeout_scope(node: ast.AsyncWith) -> bool:
+    return any(isinstance(item.context_expr, ast.Call)
+               and _call_name(item.context_expr) in _TIMEOUT_SCOPES
+               for item in node.items)
+
+
+def _scoped_awaits(tree: ast.AST) -> Set[int]:
+    """Ids of the awaits lexically inside the body of an ``async with
+    asyncio.timeout(...)`` of their own function."""
+    scoped: Set[int] = set()
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        if isinstance(node, _FUNCTION_NODES):
+            inside = False
+        elif inside and isinstance(node, ast.Await):
+            scoped.add(id(node))
+        if isinstance(node, ast.AsyncWith) \
+                and _opens_timeout_scope(node):
+            for item in node.items:
+                visit(item, inside)
+            for stmt in node.body:
+                visit(stmt, True)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return scoped
+
+
 @rule(
     "serve.missing-timeout",
     Severity.ERROR,
     KIND_SOURCE,
-    "bare await on a stream operation (read/drain/connect) without "
-    "asyncio.wait_for — a stalled peer wedges the task forever",
+    "bare await on a stream operation (read/drain/connect) outside "
+    "asyncio.wait_for or an asyncio.timeout scope — a stalled peer "
+    "wedges the task forever",
 )
 def check_missing_timeout(subject: SourceFile,
                           config: CheckConfig) -> Iterator[Finding]:
     """Flag awaits on peer-blocking stream calls with no timeout."""
     if not _in_scope(subject, config):
         return
+    scoped = _scoped_awaits(subject.tree)
     for node in ast.walk(subject.tree):
-        if not isinstance(node, ast.Await):
+        if not isinstance(node, ast.Await) or id(node) in scoped:
             continue
         if _is_timeout_wrapped(node.value):
             continue
@@ -179,8 +220,8 @@ def check_missing_timeout(subject: SourceFile,
             rule="serve.missing-timeout",
             severity=Severity.ERROR,
             message=(f"bare 'await ...{name}(...)' with no "
-                     f"asyncio.wait_for bound: a stalled peer "
-                     f"blocks this task indefinitely"),
+                     f"asyncio.wait_for or asyncio.timeout bound: a "
+                     f"stalled peer blocks this task indefinitely"),
             location=Location(file=subject.path, line=node.lineno,
                               obj=name),
         )

@@ -598,36 +598,39 @@ class Gateway:
 
 async def _probe_ready(host: str, port: int,
                        timeout: float) -> bool:
-    """One ``GET /readyz`` against a worker admin plane."""
+    """One ``GET /readyz`` against a worker admin plane.
+
+    Bounded by ``asyncio.timeout``, not ``asyncio.wait_for``: on
+    CPython 3.11 ``wait_for`` returns its inner result when a cancel
+    lands as that result arrives, and a health loop cancelled that way
+    by :meth:`Gateway.stop` would keep probing forever.
+    """
     try:
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
-        )
+        async with asyncio.timeout(timeout):
+            reader, writer = await asyncio.open_connection(host, port)
     except (OSError, asyncio.TimeoutError):
         return False
     try:
-        writer.write(b"GET /readyz HTTP/1.1\r\nHost: gateway\r\n"
-                     b"Connection: close\r\n\r\n")
-        await asyncio.wait_for(writer.drain(), timeout)
-        status_line = await asyncio.wait_for(reader.readline(),
-                                             timeout)
+        async with asyncio.timeout(timeout):
+            writer.write(b"GET /readyz HTTP/1.1\r\nHost: gateway\r\n"
+                         b"Connection: close\r\n\r\n")
+            await writer.drain()
+            status_line = await reader.readline()
         return b" 200 " in status_line
     except (OSError, asyncio.TimeoutError):
         return False
     finally:
-        writer.close()
-        try:
-            await asyncio.wait_for(writer.wait_closed(), timeout)
-        except (OSError, asyncio.TimeoutError):
-            pass
+        await _close_writer(writer, timeout)
 
 
-async def _close_writer(writer: asyncio.StreamWriter) -> None:
+async def _close_writer(writer: asyncio.StreamWriter,
+                        timeout: float = 5.0) -> None:
     """Close a transport without letting a stuck peer wedge us."""
     writer.close()
     try:
-        await asyncio.wait_for(writer.wait_closed(), 5.0)
-    except (asyncio.TimeoutError, ConnectionError):
+        async with asyncio.timeout(timeout):
+            await writer.wait_closed()
+    except (asyncio.TimeoutError, OSError):
         pass
 
 

@@ -355,57 +355,59 @@ async def read_frame(reader: asyncio.StreamReader,
                      timeout: Optional[float] = None) -> Optional[Frame]:
     """Read one frame from a stream; ``None`` on clean EOF.
 
-    Every await is bounded by ``timeout`` (``None`` waits forever —
-    callers on untrusted sockets pass a real number).  EOF *between*
-    frames returns ``None``; EOF inside a frame raises an
-    unrecoverable :class:`FrameError`, as does an oversized length
-    prefix — in both cases the stream cannot be re-synchronized and
-    the connection must close.
+    One ``timeout`` deadline bounds the idle wait for the length
+    prefix, and a fresh one, started when the prefix arrives, bounds
+    the rest of the frame (``None`` waits forever; callers on
+    untrusted sockets pass a real number).  A peer dripping the frame
+    out piece by piece thus gets ``timeout`` in total, not per read,
+    and a frame that starts late in the idle window still gets its
+    full ``timeout``.  EOF *between* frames returns ``None``; EOF inside
+    a frame raises an unrecoverable :class:`FrameError`, as does an
+    oversized length prefix — in both cases the stream cannot be
+    re-synchronized and the connection must close.
     """
-    try:
-        prefix = await asyncio.wait_for(reader.readexactly(4), timeout)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF on a frame boundary
-        raise FrameError("connection closed mid-prefix",
-                         recoverable=False) from None
-    body_len = int.from_bytes(prefix, "big")
-    if body_len > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"length prefix {body_len} exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame limit",
-            recoverable=False,
-        )
-    try:
-        if body_len < HEADER_BYTES:
-            # Undersized frames go through decode_body so the
-            # failure classifies exactly as before (recoverable:
-            # the promised byte count was fully consumed).
-            body = await asyncio.wait_for(
-                reader.readexactly(body_len), timeout
+    async with asyncio.timeout(timeout) as deadline:
+        try:
+            prefix = await reader.readexactly(4)
+        except asyncio.IncompleteReadError as exc:
+            if not exc.partial:
+                return None  # clean EOF on a frame boundary
+            raise FrameError("connection closed mid-prefix",
+                             recoverable=False) from None
+        if timeout is not None:
+            deadline.reschedule(
+                asyncio.get_running_loop().time() + timeout)
+        body_len = int.from_bytes(prefix, "big")
+        if body_len > MAX_FRAME_BYTES:
+            raise FrameError(
+                f"length prefix {body_len} exceeds the "
+                f"{MAX_FRAME_BYTES}-byte frame limit",
+                recoverable=False,
             )
-            return decode_body(body)
-        header = await asyncio.wait_for(
-            reader.readexactly(HEADER_BYTES), timeout
-        )
-        remaining = body_len - HEADER_BYTES
-        trace: Optional[Tuple[int, int]] = None
-        if header[2] == TRACE_VERSION and remaining >= TRACE_EXT_BYTES:
-            # The trace context is read as its own 16-byte chunk so
-            # the payload buffer below is still adopted unsliced; an
-            # undersized traced frame skips this read and classifies
-            # in decode_payload (recoverable — fully consumed).
-            ext = await asyncio.wait_for(
-                reader.readexactly(TRACE_EXT_BYTES), timeout
-            )
-            trace = _TRACE_EXT.unpack(ext)
-            remaining -= TRACE_EXT_BYTES
-        payload = await asyncio.wait_for(
-            reader.readexactly(remaining), timeout
-        )
-    except asyncio.IncompleteReadError:
-        raise FrameError("connection closed mid-frame",
-                         recoverable=False) from None
+        try:
+            if body_len < HEADER_BYTES:
+                # Undersized frames go through decode_body so the
+                # failure classifies exactly as before (recoverable:
+                # the promised byte count was fully consumed).
+                body = await reader.readexactly(body_len)
+                return decode_body(body)
+            header = await reader.readexactly(HEADER_BYTES)
+            remaining = body_len - HEADER_BYTES
+            trace: Optional[Tuple[int, int]] = None
+            if header[2] == TRACE_VERSION \
+                    and remaining >= TRACE_EXT_BYTES:
+                # The trace context is read as its own 16-byte chunk
+                # so the payload buffer below is still adopted
+                # unsliced; an undersized traced frame skips this
+                # read and classifies in decode_payload (recoverable
+                # — fully consumed).
+                ext = await reader.readexactly(TRACE_EXT_BYTES)
+                trace = _TRACE_EXT.unpack(ext)
+                remaining -= TRACE_EXT_BYTES
+            payload = await reader.readexactly(remaining)
+        except asyncio.IncompleteReadError:
+            raise FrameError("connection closed mid-frame",
+                             recoverable=False) from None
     # The length was parsed exactly once (above); the payload bytes
     # land in the frame as the very object readexactly produced.
     return decode_payload(header, payload, trace)
@@ -424,7 +426,8 @@ async def write_frame(writer: asyncio.StreamWriter, frame: Frame,
     writer.write(head)
     if payload:
         writer.write(payload)
-    await asyncio.wait_for(writer.drain(), timeout)
+    async with asyncio.timeout(timeout):
+        await writer.drain()
 
 
 __all__ = [

@@ -14,23 +14,26 @@ explicit limits, bounded buffering, measured behaviour:
   :class:`asyncio.Queue`; when it is full the server answers
   ``OVERLOADED`` instead of buffering without bound, exactly as the
   device's one-deep Data_In buffer drops (and counts) overruns.
-- **Timeouts** — every await on a socket is bounded, and each
-  request's execution gets ``request_timeout`` seconds before the
-  worker abandons it with a ``TIMEOUT`` error frame (the connection
-  survives).  The ``serve.missing-timeout`` lint rule enforces the
-  socket half of this mechanically.
+- **Timeouts** — every frame read or write runs under one
+  ``io_timeout`` deadline, and each request's execution under one
+  ``request_timeout`` deadline; a request that outlives it is
+  abandoned with a ``TIMEOUT`` error frame (the connection survives).
+  The ``serve.missing-timeout`` lint rule enforces the socket half of
+  this mechanically.
 - **Graceful shutdown** — :meth:`CryptoServer.stop` stops accepting,
   drains the queued requests (bounded by ``drain_timeout``), then
   closes connections; a ``SHUTDOWN`` frame triggers the same path
   remotely, which is how the CI smoke and the bench loopback scenario
   end their runs cleanly.
 
-Crypto executes on a small thread pool through
-:func:`repro.perf.engine.default_engine` (via the mode layer), so a
-large buffer is batched/sharded by the engine while the event loop
-stays responsive.  Everything is instrumented into the process-global
-:mod:`repro.obs` registry — request/byte/error counters, an in-flight
-gauge, a latency histogram and ``serve.*`` spans.
+Crypto runs through :func:`repro.perf.engine.default_engine` (via
+the mode layer): inline on the event loop for payloads up to
+:data:`INLINE_MAX_BYTES`, where the thread hop would cost more than
+the cipher, and on a small thread pool above that, so a large buffer
+never stalls the loop.  Everything is instrumented into the
+process-global :mod:`repro.obs` registry — request/byte/error
+counters, an in-flight gauge, a latency histogram and ``serve.*``
+spans.
 """
 
 from __future__ import annotations
@@ -323,15 +326,13 @@ class CryptoServer:
         if self._server is not None:
             self._server.close()
             try:
-                await asyncio.wait_for(
-                    self._server.wait_closed(),
-                    self.config.drain_timeout,
-                )
+                async with asyncio.timeout(self.config.drain_timeout):
+                    await self._server.wait_closed()
             except asyncio.TimeoutError:  # pragma: no cover - defensive
                 pass
         try:
-            await asyncio.wait_for(self._queue.join(),
-                                   self.config.drain_timeout)
+            async with asyncio.timeout(self.config.drain_timeout):
+                await self._queue.join()
         except asyncio.TimeoutError:
             pass  # forced: undrained items die with the workers
         for worker in self._workers:
@@ -418,6 +419,10 @@ class CryptoServer:
                 self._count(reply)
                 continue
             _INFLIGHT.inc()
+            # A read of already-buffered bytes never yields, so a
+            # pipelining peer would otherwise fill the whole queue
+            # before any worker runs; yield once per request.
+            await asyncio.sleep(0)
 
     async def _send(self, writer: asyncio.StreamWriter,
                     write_lock: asyncio.Lock, frame: Frame) -> None:
@@ -461,6 +466,10 @@ class CryptoServer:
             finally:
                 _INFLIGHT.dec()
                 self._queue.task_done()
+            # Neither a get() from a non-empty queue nor an inline
+            # request yields, so without this one worker would run a
+            # whole backlog of inline requests in one loop step.
+            await asyncio.sleep(0)
 
     async def _process(self, item: _WorkItem) -> None:
         frame = item.frame
@@ -489,10 +498,9 @@ class CryptoServer:
             else:
                 exec_start = time.perf_counter()
                 try:
-                    reply = await asyncio.wait_for(
-                        handler(item.session, frame),
-                        self.config.request_timeout,
-                    )
+                    async with asyncio.timeout(
+                            self.config.request_timeout):
+                        reply = await handler(item.session, frame)
                 except asyncio.TimeoutError:
                     reply = frame.error(
                         Status.TIMEOUT,
@@ -543,7 +551,8 @@ class CryptoServer:
 
     async def _op_xcrypt(self, session: Session,
                          frame: Frame) -> Frame:
-        if session.key is None:
+        key, payload = session.key, frame.payload
+        if key is None:
             return frame.error(Status.NO_KEY,
                                "no session key loaded")
         work = _CRYPTO_OPS.get((frame.op, frame.mode))
@@ -552,14 +561,15 @@ class CryptoServer:
                 Status.BAD_REQUEST,
                 f"no {frame.mode.name} handler for {frame.op.name}",
             )
-        loop = asyncio.get_running_loop()
         try:
-            out = await asyncio.wait_for(
-                loop.run_in_executor(
-                    self._executor, work, session.key, frame.payload
-                ),
-                self.config.request_timeout,
-            )
+            if len(payload) <= INLINE_MAX_BYTES:
+                # Cheaper than the thread hop, and no longer than an
+                # executor thread holds the GIL anyway.
+                out = work(key, payload)
+            else:
+                out = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, work, key, payload
+                )
         except gcm.AuthenticationError:
             # The GCM layer already bumped its auth-failure counter.
             return frame.error(Status.AUTH_FAILED,
@@ -570,11 +580,12 @@ class CryptoServer:
 
 
 # The crypto table: (op, mode) -> callable(session_key, payload).
-# Every entry runs on the worker thread pool and routes its bulk work
-# through ``repro.perf.default_engine()`` via the mode layer, so
-# concurrent requests share the engine's batching.  (Dispatch through
-# this table also keeps the ECB entries out of the ``ct.raw-ecb``
-# call-site lint — the service legitimately exposes ECB as an op.)
+# Every entry routes its bulk work through
+# ``repro.perf.default_engine()`` via the mode layer; it runs inline on
+# the event loop up to INLINE_MAX_BYTES of payload and on the worker
+# thread pool above that.  (Dispatch through this table also keeps the
+# ECB entries out of the ``ct.raw-ecb`` call-site lint — the service
+# legitimately exposes ECB as an op.)
 def _ctr_split(payload: bytes) -> Tuple[bytes, bytes]:
     if len(payload) < CTR_NONCE_BYTES:
         raise ValueError(
@@ -588,6 +599,16 @@ def _ctr_split(payload: bytes) -> Tuple[bytes, bytes]:
 #: the only op whose response outgrows its request, so it is the only
 #: one needing a bound tighter than the frame limit.
 GCM_MAX_PLAINTEXT_BYTES = MAX_PAYLOAD_BYTES - GCM_TAG_BYTES
+
+#: Largest payload whose crypto runs inline on the event loop instead
+#: of on the executor.  It is the largest power of two whose worst
+#: (op, mode) cost on the pure-Python paths (numpy absent) stays under
+#: ``sys.getswitchinterval()`` (5 ms), the longest an executor thread
+#: running pure-Python crypto holds the GIL anyway: on a 2-vCPU x86-64
+#: host (CPython 3.11) GCM costs ≈3.2–3.5 ms at 2 KiB and ≈6.0–6.4 ms
+#: at 4 KiB without numpy, and every (op, mode) ≤1.6 ms at 2 KiB with
+#: it.  Below this size the thread hop costs more than it saves.
+INLINE_MAX_BYTES = 2048
 
 
 def _gcm_encrypt(k: bytes, payload: bytes) -> bytes:
@@ -642,10 +663,11 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
     """Close a transport without letting a stuck peer wedge us."""
     writer.close()
     try:
-        await asyncio.wait_for(writer.wait_closed(), 5.0)
+        async with asyncio.timeout(5.0):
+            await writer.wait_closed()
     except (asyncio.TimeoutError, ConnectionError):
         pass
 
 
-__all__ = ["GCM_MAX_PLAINTEXT_BYTES", "CryptoServer", "ServeConfig",
-           "Session"]
+__all__ = ["GCM_MAX_PLAINTEXT_BYTES", "INLINE_MAX_BYTES", "CryptoServer",
+           "ServeConfig", "Session"]

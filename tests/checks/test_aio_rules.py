@@ -137,6 +137,124 @@ class TestBlockingInCoroutine:
         assert findings == []
 
 
+#: The server's dispatch shape: a module-level table of named
+#: functions, looked up into a local and called.  ``{body}`` is the
+#: call site under test.
+_DISPATCH = """
+from repro.aes import modes
+
+INLINE_MAX_BYTES = 2048
+OTHER_LIMIT = 2048
+
+def _ctr(k, payload):
+    return modes.ctr_xcrypt(k, payload[:8], payload[8:])
+
+OPS = {{"ecb": modes.ecb_encrypt, "ctr": _ctr}}
+
+async def serve(loop, name, key, payload):
+    work = OPS.get(name)
+{body}
+"""
+
+
+def _dispatch_findings(body):
+    return lint("aio.blocking-in-coroutine",
+                mod=_DISPATCH.format(body=textwrap.indent(
+                    textwrap.dedent(body), "    ")))
+
+
+class TestInlineDispatch:
+    """A call through the crypto table is a blocking call, accepted
+    only under the configured inline size limit."""
+
+    def test_unguarded_table_call_triggers(self):
+        findings = _dispatch_findings("""
+            return work(key, payload)
+            """)
+        assert len(findings) == 1
+        assert "dispatch table OPS" in findings[0].message
+
+    def test_size_guarded_inline_call_is_clean(self):
+        findings = _dispatch_findings("""
+            if len(payload) <= INLINE_MAX_BYTES:
+                return work(key, payload)
+            return await loop.run_in_executor(None, work, key, payload)
+            """)
+        assert findings == []
+
+    def test_guard_against_literal_triggers(self):
+        findings = _dispatch_findings("""
+            if len(payload) <= 2048:
+                return work(key, payload)
+            return await loop.run_in_executor(None, work, key, payload)
+            """)
+        assert len(findings) == 1
+
+    def test_guard_against_other_name_triggers(self):
+        findings = _dispatch_findings("""
+            if len(payload) <= OTHER_LIMIT:
+                return work(key, payload)
+            return await loop.run_in_executor(None, work, key, payload)
+            """)
+        assert len(findings) == 1
+
+    def test_guard_on_the_key_triggers(self):
+        findings = _dispatch_findings("""
+            if len(key) <= INLINE_MAX_BYTES:
+                return work(key, payload)
+            return await loop.run_in_executor(None, work, key, payload)
+            """)
+        assert len(findings) == 1
+
+    def test_call_in_else_branch_triggers(self):
+        findings = _dispatch_findings("""
+            if len(payload) > INLINE_MAX_BYTES:
+                return await loop.run_in_executor(
+                    None, work, key, payload)
+            else:
+                return work(key, payload)
+            """)
+        assert len(findings) == 1
+
+    def test_transitive_table_entry_triggers_with_path(self):
+        findings = lint("aio.blocking-in-coroutine", mod="""
+            from repro.aes import modes
+
+            def _ctr(k, payload):
+                return modes.ctr_xcrypt(k, payload[:8], payload[8:])
+
+            OPS = {"ctr": _ctr}
+
+            async def serve(name, key, payload):
+                work = OPS[name]
+                return work(key, payload)
+            """)
+        assert len(findings) == 1
+        assert "_ctr -> modes.ctr_xcrypt" in findings[0].message
+
+    def test_server_guard_reinjection(self):
+        """The shipped server is clean only because of its guard:
+        swapping the limit for its literal value is caught."""
+        from pathlib import Path
+
+        import repro.serve.server as server
+
+        text = Path(server.__file__).read_text()
+        guard = "if len(payload) <= INLINE_MAX_BYTES:"
+        assert text.count(guard) == 1
+
+        def findings(code):
+            source = SourceFile.parse("src/repro/serve/server.py", code)
+            return run_rules({KIND_FLOW: [FlowSubject((source,))]},
+                             None, only=["aio.blocking-in-coroutine"])
+
+        assert findings(text) == []
+        broken = findings(text.replace(
+            guard, f"if len(payload) <= {server.INLINE_MAX_BYTES}:"))
+        assert [f.location.obj for f in broken] == \
+            ["CryptoServer._op_xcrypt"]
+
+
 class TestUnawaitedCoroutine:
     def test_bare_statement_call_triggers(self):
         findings = lint("aio.unawaited-coroutine", mod="""

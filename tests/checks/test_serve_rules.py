@@ -137,6 +137,55 @@ class TestMissingTimeout:
             """, "serve.missing-timeout")
         assert findings == []
 
+    def test_timeout_scope_is_fine(self):
+        findings = lint(
+            """
+            import asyncio
+            async def f(reader, writer, timeout):
+                async with asyncio.timeout(timeout):
+                    data = await reader.readexactly(4)
+                    if data:
+                        await writer.drain()
+                async with asyncio.timeout_at(timeout):
+                    await writer.wait_closed()
+            """, "serve.missing-timeout")
+        assert findings == []
+
+    def test_await_after_timeout_scope_triggers(self):
+        findings = lint(
+            """
+            import asyncio
+            async def f(reader, timeout):
+                async with asyncio.timeout(timeout):
+                    prefix = await reader.readexactly(4)
+                return await reader.readexactly(len(prefix))
+            """, "serve.missing-timeout")
+        assert [f.location.line for f in findings] == [6]
+
+    def test_nested_function_in_timeout_scope_triggers(self):
+        """The deadline bounds the enclosing body, not the body of a
+        function merely defined there."""
+        findings = lint(
+            """
+            import asyncio
+            async def f(reader, writer, timeout):
+                async with asyncio.timeout(timeout):
+                    async def later():
+                        return await reader.readexactly(4)
+                    await writer.drain()
+                    return later
+            """, "serve.missing-timeout")
+        assert [f.location.obj for f in findings] == ["readexactly"]
+
+    def test_other_async_with_does_not_bound(self):
+        findings = lint(
+            """
+            async def f(reader, lock):
+                async with lock:
+                    return await reader.readexactly(4)
+            """, "serve.missing-timeout")
+        assert len(findings) == 1
+
     def test_unrelated_awaits_ignored(self):
         findings = lint(
             """

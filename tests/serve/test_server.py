@@ -7,6 +7,7 @@ state leaks between tests.
 
 import asyncio
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,16 +18,19 @@ from repro.serve.protocol import (
     CTR_NONCE_BYTES,
     GCM_IV_BYTES,
     GCM_TAG_BYTES,
+    HEADER_BYTES,
     MAX_PAYLOAD_BYTES,
     Frame,
     Mode,
     Op,
     Status,
+    encode_frame,
     read_frame,
     write_frame,
 )
 from repro.serve.server import (
     GCM_MAX_PLAINTEXT_BYTES,
+    INLINE_MAX_BYTES,
     CryptoServer,
     ServeConfig,
     Session,
@@ -306,6 +310,78 @@ class TestEndToEnd:
 
         asyncio.run(scenario())
 
+    def test_slow_drip_frame_closes_within_io_timeout(self):
+        """``io_timeout`` bounds a whole frame, not each read: a peer
+        sending prefix, header and payload each inside the timeout,
+        but the frame as a whole past it, is cut off after about one
+        ``io_timeout`` instead of being served."""
+        io_timeout = 1.0
+
+        async def scenario():
+            server = await _started(
+                ServeConfig(port=0, io_timeout=io_timeout))
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            wire = encode_frame(Frame(op=Op.PING, request_id=1,
+                                      payload=b"drip"))
+            pieces = (wire[:4], wire[4:4 + HEADER_BYTES],
+                      wire[4 + HEADER_BYTES:])
+
+            async def drip():
+                try:
+                    for index, piece in enumerate(pieces):
+                        if index:
+                            await asyncio.sleep(0.6 * io_timeout)
+                        writer.write(piece)
+                        await writer.drain()
+                except ConnectionError:
+                    pass  # the server already hung up
+
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            dripper = loop.create_task(drip())
+            try:
+                reply = await read_frame(reader, timeout=4 * io_timeout)
+            except ConnectionError:
+                reply = None
+            closed_after = loop.time() - start
+            dripper.cancel()
+            writer.close()
+            await server.stop()
+            return reply, closed_after
+
+        reply, closed_after = asyncio.run(scenario())
+        assert reply is None  # EOF: the drip was never answered
+        assert closed_after < 1.5 * io_timeout
+
+    def test_frame_after_long_idle_gets_a_full_io_timeout(self):
+        """The idle wait and the frame have separate deadlines: a
+        frame whose prefix arrives late in the idle window is still
+        served when the rest follows within ``io_timeout``."""
+        io_timeout = 1.0
+
+        async def scenario():
+            server = await _started(
+                ServeConfig(port=0, io_timeout=io_timeout))
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            wire = encode_frame(Frame(op=Op.PING, request_id=7,
+                                      payload=b"late"))
+            try:
+                await asyncio.sleep(0.7 * io_timeout)
+                writer.write(wire[:4])
+                await asyncio.sleep(0.5 * io_timeout)
+                writer.write(wire[4:])
+                return await read_frame(reader, timeout=5.0)
+            finally:
+                writer.close()
+                await server.stop()
+
+        reply = asyncio.run(scenario())
+        assert reply is not None
+        assert reply.status is Status.OK
+        assert (reply.request_id, reply.payload) == (7, b"late")
+
     def test_slow_handler_trips_timeout_connection_survives(self):
         async def scenario():
             config = ServeConfig(port=0, request_timeout=0.1)
@@ -491,6 +567,151 @@ class TestEndToEnd:
                 await server.stop()
 
         asyncio.run(scenario())
+
+
+class _CountingExecutor(ThreadPoolExecutor):
+    """A one-thread pool that counts the jobs handed to it."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.jobs = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.jobs += 1
+        return super().submit(fn, *args, **kwargs)
+
+
+def _request_of(op, mode, key, size, rng):
+    """A legal ``size``-byte (op, mode) payload and the mode layer's
+    answer to it."""
+    if mode is Mode.ECB:
+        payload = rng.randbytes(size)
+        fn = modes.ecb_encrypt if op is Op.ENCRYPT else modes.ecb_decrypt
+        return payload, fn(key, payload)
+    if mode is Mode.CTR:
+        payload = rng.randbytes(size)
+        nonce, data = payload[:CTR_NONCE_BYTES], payload[CTR_NONCE_BYTES:]
+        return payload, modes.ctr_xcrypt(key, nonce, data)
+    iv = rng.randbytes(GCM_IV_BYTES)
+    if op is Op.ENCRYPT:
+        plaintext = rng.randbytes(size - GCM_IV_BYTES)
+        ct, tag = gcm.gcm_encrypt(key, iv, plaintext)
+        return iv + plaintext, ct + tag
+    plaintext = rng.randbytes(size - GCM_IV_BYTES - GCM_TAG_BYTES)
+    ct, tag = gcm.gcm_encrypt(key, iv, plaintext)
+    return iv + ct + tag, plaintext
+
+
+class TestInlineDispatch:
+    @pytest.mark.parametrize("op", [Op.ENCRYPT, Op.DECRYPT],
+                             ids=lambda op: op.name)
+    @pytest.mark.parametrize("mode", [Mode.ECB, Mode.CTR, Mode.GCM],
+                             ids=lambda mode: mode.name)
+    def test_small_requests_skip_the_executor(self, mode, op):
+        """A payload of ``INLINE_MAX_BYTES`` runs inline and never
+        reaches the executor; the smallest legal payload above it
+        (one byte more, one block more for ECB) does.  Both answer
+        bit-exact against the mode layer."""
+        key = bytes(range(16))
+        rng = random.Random(11)
+        step = 16 if mode is Mode.ECB else 1
+        requests = [_request_of(op, mode, key, size, rng)
+                    for size in (INLINE_MAX_BYTES,
+                                 INLINE_MAX_BYTES + step)]
+
+        async def scenario():
+            server = await _started()
+            server._executor.shutdown()
+            server._executor = counting = _CountingExecutor()
+            host, port = server.address
+            jobs = []
+            try:
+                async with CryptoClient(
+                    host, port, retry=RetryPolicy(attempts=1)
+                ) as client:
+                    await client.load_key(key)
+                    for payload, want in requests:
+                        reply = await client.request(op, mode, payload)
+                        assert reply.status is Status.OK, reply.payload
+                        assert reply.payload == want
+                        jobs.append(counting.jobs)
+            finally:
+                await server.stop()
+            return jobs
+
+        assert asyncio.run(scenario()) == [0, 1]
+
+    def test_inline_backlog_yields_between_requests(self, monkeypatch):
+        """A burst of inline requests must not run back to back in
+        one event-loop step: between two steps of a probe task, each
+        worker finishes at most one request, so the loop polls its
+        sockets after every inline request of a worker."""
+        import repro.serve.server as server_module
+
+        slot = (Op.ENCRYPT, Mode.GCM)
+        real = server_module._CRYPTO_OPS[slot]
+        done = [0]
+
+        def counted(key, payload):
+            done[0] += 1
+            return real(key, payload)
+
+        monkeypatch.setitem(server_module._CRYPTO_OPS, slot, counted)
+        key = bytes(range(16))
+        payload = bytes(INLINE_MAX_BYTES)
+        connections, per_connection = 8, 8
+
+        async def scenario():
+            config = ServeConfig(port=0, workers=1)
+            server = await _started(config)
+            host, port = server.address
+            streams = []
+            for _ in range(connections):
+                reader, writer = await asyncio.open_connection(
+                    host, port)
+                await write_frame(writer, Frame(op=Op.LOAD_KEY,
+                                                request_id=0,
+                                                payload=key),
+                                  timeout=5.0)
+                reply = await read_frame(reader, timeout=5.0)
+                assert reply.status is Status.OK
+                streams.append((reader, writer))
+
+            most = 0
+            finished = False
+
+            async def probe():
+                nonlocal most
+                while not finished:
+                    before = done[0]
+                    await asyncio.sleep(0)
+                    most = max(most, done[0] - before)
+
+            loop = asyncio.get_running_loop()
+            prober = loop.create_task(probe())
+            try:
+                for _, writer in streams:
+                    writer.write(b"".join(
+                        encode_frame(Frame(op=Op.ENCRYPT,
+                                           mode=Mode.GCM,
+                                           request_id=index + 1,
+                                           payload=payload))
+                        for index in range(per_connection)))
+                for reader, _ in streams:
+                    for _ in range(per_connection):
+                        reply = await read_frame(reader, timeout=10.0)
+                        assert reply.status is Status.OK
+            finally:
+                finished = True
+                await prober
+                for _, writer in streams:
+                    writer.close()
+                await server.stop()
+            return most, config.workers
+
+        most, workers = asyncio.run(scenario())
+        assert done[0] == connections * per_connection
+        assert 1 <= most <= workers
 
 
 class TestObservability:
