@@ -11,8 +11,8 @@ tag.  Two properties make GCM a natural fit for the paper's device:
 
 Every AES block — the hash subkey H, the tag mask E(K, J0) and the
 payload keystream — runs on the batch engine
-(:func:`repro.perf.engine.default_engine`); GHASH runs on the
-providers of :mod:`repro.aes.ghash`.  Verified against the canonical
+(:func:`repro.perf.engine.default_engine`); GHASH runs on the one
+digest of :mod:`repro.aes.ghash`.  Verified against the canonical
 NIST GCM test cases; no constant-time claims.
 """
 
@@ -41,7 +41,7 @@ _GCM_AUTH_FAILURES = global_registry().counter(
 )
 
 #: GHASH reduction polynomial and the golden bitwise multiply now
-#: live in :mod:`repro.aes.ghash` next to the fast providers; the
+#: live in :mod:`repro.aes.ghash` next to the fast digest; the
 #: re-exports keep this module the public home of the primitive.
 from repro.aes.ghash import _R, gf128_mul  # noqa: E402,F401
 
@@ -92,8 +92,8 @@ def _check_lengths(plaintext_len: int, aad_len: int,
 
 
 def _ghash(h: int, data: bytes) -> int:
-    """Golden table-free GHASH; the providers in
-    :mod:`repro.aes.ghash` are cross-checked against it."""
+    """Golden table-free GHASH; the digest in
+    :mod:`repro.aes.ghash` is cross-checked against it."""
     y = 0
     for index in range(0, len(data), BLOCK):
         chunk = data[index:index + BLOCK]
@@ -142,7 +142,7 @@ def _lengths_block(aad: bytes, ciphertext: bytes) -> bytes:
 
 def _tag(h: int, mask: int, aad: bytes, ciphertext: bytes) -> bytes:
     """GHASH(A, C) xor E(K, J0)."""
-    # Each part is padded to the block boundary by the provider
+    # Each part is padded to the block boundary by the digest
     # (tail block only) — no fully padded concatenation is built.
     s = _ghash_provider().digest(
         h, (aad, ciphertext, _lengths_block(aad, ciphertext)))

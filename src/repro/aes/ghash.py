@@ -1,38 +1,45 @@
-"""Pluggable GHASH providers: bitwise, byte-table, numpy-vectorized.
+"""GHASH: one digest whose fold is chosen by input size.
 
 GHASH is multiplication in GF(2^128) with GCM's reflected bit order
 (SP 800-38D §6.3): field elements live in 128-bit ints whose bit 127
 is the coefficient of x^0, and the reduction polynomial
 x^128 + x^7 + x^2 + x + 1 reflects to :data:`_R` acting on the low
 end of the integer.  :mod:`repro.aes.gcm` keeps a table-free
-``_ghash`` as the golden model; everything here is cross-checked
+``_ghash`` as the golden model; the digest here is cross-checked
 against it (see ``tests/aes/test_ghash.py`` and the bench equivalence
 gate).
 
-Three providers, mirroring the cipher backend ladder in
-:mod:`repro.perf.backends`:
+:meth:`Ghash.digest` folds each part one of two ways:
 
-- ``bitwise`` — the golden shift-and-xor multiply, one bit at a time.
-- ``table`` — per-subkey byte tables ``T[j][v] = (v · x^(8j)) · H``
-  so a block multiply is 16 lookups and 16 xors instead of 128
-  shift/xor rounds.  Tables are cached per subkey (LRU, zeroized on
-  evict — same hygiene contract as ``RoundKeyCache``).
-- ``vector`` — numpy lane decomposition: ``W`` interleaved Horner
-  accumulators each step by ``H^W`` (a batched table multiply over
-  uint64 hi/lo halves), folded at the end by ``W`` scalar multiplies
-  with ``H``.  Pure-Python fallback when numpy is absent.
+- below :data:`_VECTOR_MIN_BLOCKS` blocks, or without numpy, with
+  per-subkey byte tables ``T[j][v] = (v · x^(8j)) · H``, so a block
+  multiply is 16 lookups and 16 xors instead of 128 shift/xor rounds;
+- at or above it, with numpy lanes: :data:`VECTOR_LANES` interleaved
+  Horner accumulators each step by ``H^W`` (a batched table multiply
+  over uint64 hi/lo halves), folded at the end by ``W`` scalar
+  multiplies with ``H``.
+
+The tables live in one :class:`~repro.perf.keycache.ZeroizingLRU` per
+process, keyed by subkey: bounded, locked, zeroized when dropped, and
+never wiped while a digest is still reading them.
 
 A *message* is a sequence of byte parts; each part is padded to the
 16-byte block boundary independently (exactly GCM's layout: padded
-AAD, padded ciphertext, lengths block), so providers never build the
-fully padded concatenation the old ``_ghash`` call sites did.
+AAD, padded ciphertext, lengths block), so callers never build the
+fully padded concatenation.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+from repro.perf.keycache import ZeroizingLRU
+
+try:  # optional vectorization — detected, never required
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised where numpy absent
+    _np = None
 
 BLOCK = 16
 
@@ -43,15 +50,15 @@ _R = 0xE1000000000000000000000000000000
 
 _MASK64 = (1 << 64) - 1
 
-#: Lane width of the vector provider: how many independent Horner
+#: Lane width of the numpy fold: how many independent Horner
 #: accumulators step together through one batched ``· H^W`` multiply.
 #: Wide enough that numpy's per-op overhead amortizes, small enough
 #: that the final ``W`` scalar combine multiplies stay cheap.
 VECTOR_LANES = 256
 
-#: Below this many whole blocks the vector provider delegates to the
-#: scalar byte-table path: the lane fold needs at least two full
-#: chunks before the batched multiply beats plain table lookups.
+#: Below this many whole blocks a part takes the byte-table fold: the
+#: lane fold needs at least two full chunks before the batched
+#: multiply beats plain table lookups.
 _VECTOR_MIN_BLOCKS = 2 * VECTOR_LANES
 
 
@@ -71,28 +78,9 @@ def gf128_mul(x: int, y: int) -> int:
     return z
 
 
-# ------------------------------------------------------------ numpy probe
-
-_NUMPY: Optional[object] = None
-_NUMPY_PROBED = False
-
-
-def _numpy() -> Optional[object]:
-    global _NUMPY, _NUMPY_PROBED
-    if not _NUMPY_PROBED:
-        _NUMPY_PROBED = True
-        try:
-            import numpy
-        except ImportError:
-            _NUMPY = None
-        else:
-            _NUMPY = numpy
-    return _NUMPY
-
-
 def have_numpy() -> bool:
-    """Whether the vector provider can use numpy here."""
-    return _numpy() is not None
+    """Whether large parts take the numpy lane fold here."""
+    return _np is not None
 
 
 # ------------------------------------------------------------ byte tables
@@ -149,155 +137,60 @@ def _pow_gf128(h: int, n: int) -> int:
 
 
 class _TableSet:
-    """Everything cached for one subkey: scalar byte tables for ``H``
-    and, lazily, numpy hi/lo table pairs for ``H`` powers (the vector
-    provider steps lanes by ``H^W``)."""
+    """Everything cached for one subkey: byte tables for ``H`` and,
+    built on the first lane fold, the numpy hi/lo pair of ``H^W``'s
+    tables that the lanes step by."""
 
-    __slots__ = ("tables", "numpy_packs")
+    __slots__ = ("h", "tables", "lane_pack")
 
     def __init__(self, h: int) -> None:
+        self.h = h
         self.tables = _build_tables(h)
-        self.numpy_packs: Dict[int, Tuple[object, object]] = {}
+        self.lane_pack: Optional[Tuple[Any, Any]] = None
 
-    def numpy_pack(self, h: int, power: int) -> Tuple[object, object]:
-        pack = self.numpy_packs.get(power)
-        if pack is None:
-            np = _numpy()
-            assert np is not None
-            if power == 1:
-                tables = self.tables
-            else:
-                tables = _build_tables(_pow_gf128(h, power))
-            t_hi = np.array(
-                [[e >> 64 for e in row] for row in tables],
-                dtype=np.uint64)
-            t_lo = np.array(
-                [[e & _MASK64 for e in row] for row in tables],
-                dtype=np.uint64)
-            pack = (t_hi, t_lo)
-            self.numpy_packs[power] = pack
-        return pack
+    def lane_tables(self) -> Tuple[Any, Any]:
+        # Built under a lock so racing digests never orphan an
+        # unwiped copy.
+        with _LANE_BUILD:
+            if self.lane_pack is None:
+                tables = _build_tables(
+                    _pow_gf128(self.h, VECTOR_LANES))
+                self.lane_pack = (
+                    _np.array([[e >> 64 for e in row]
+                               for row in tables], dtype=_np.uint64),
+                    _np.array([[e & _MASK64 for e in row]
+                               for row in tables], dtype=_np.uint64),
+                )
+            return self.lane_pack
 
     def wipe(self) -> None:
         """Zeroize: table entries are linear in the subkey."""
+        self.h = 0
         for row in self.tables:
             row[:] = [0] * 256
-        for t_hi, t_lo in self.numpy_packs.values():
-            t_hi.fill(0)  # type: ignore[attr-defined]
-            t_lo.fill(0)  # type: ignore[attr-defined]
-        self.numpy_packs.clear()
+        if self.lane_pack is not None:
+            for array in self.lane_pack:
+                array.fill(0)
+            self.lane_pack = None
 
 
-class _TableCache:
-    """LRU of :class:`_TableSet` per subkey, zeroized on eviction.
+_LANE_BUILD = threading.Lock()
 
-    Same hygiene contract as ``repro.perf.backends.RoundKeyCache``:
-    dropping an entry overwrites the derived material instead of
-    leaving it for the allocator to hand out.  Thread-safe — the
-    serve layer digests frames from a thread pool.
-    """
-
-    def __init__(self, capacity: int = 16) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self._capacity = capacity
-        self._entries: "OrderedDict[int, _TableSet]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, h: int) -> _TableSet:
-        with self._lock:
-            entry = self._entries.get(h)
-            if entry is not None:
-                self._entries.move_to_end(h)
-                return entry
-        # Build outside the lock: construction is the expensive part
-        # and two racing builders just produce identical tables.
-        entry = _TableSet(h)
-        with self._lock:
-            current = self._entries.get(h)
-            if current is not None:
-                self._entries.move_to_end(h)
-                return current
-            self._entries[h] = entry
-            while len(self._entries) > self._capacity:
-                _, evicted = self._entries.popitem(last=False)
-                evicted.wipe()
-        return entry
-
-    def discard(self, h: int) -> None:
-        with self._lock:
-            entry = self._entries.pop(h, None)
-        if entry is not None:
-            entry.wipe()
-
-    def clear(self) -> None:
-        with self._lock:
-            entries = list(self._entries.values())
-            self._entries.clear()
-        for entry in entries:
-            entry.wipe()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, h: int) -> bool:
-        with self._lock:
-            return h in self._entries
-
-
-_TABLES = _TableCache()
+_TABLES: "ZeroizingLRU[int, _TableSet]" = ZeroizingLRU(
+    16, _TableSet, _TableSet.wipe)
 
 
 def forget(h: int) -> None:
     """Drop (and zeroize) any cached tables derived from subkey ``h``.
 
     The serve layer calls this via ``repro.perf.engine.forget_key``
-    on session teardown.
+    on session teardown.  A digest still reading the tables finishes
+    on them; the wipe follows when it returns.
     """
     _TABLES.discard(h)
 
 
-# ------------------------------------------------------------- providers
-
-class GhashProvider:
-    """One GHASH implementation; ``digest`` folds byte parts."""
-
-    #: Registry / bench name.
-    name = "abstract"
-    #: Whether the provider batches block multiplies (numpy).
-    vectorized = False
-
-    def digest(self, h: int, parts: Sequence[bytes]) -> int:
-        """GHASH of the parts, each zero-padded to a block boundary."""
-        raise NotImplementedError
-
-    def forget(self, h: int) -> None:
-        """Drop any per-subkey state (tables); default: stateless."""
-
-
-def _fold_bitwise(y: int, h: int, part: bytes) -> int:
-    full = len(part) - len(part) % BLOCK
-    for index in range(0, full, BLOCK):
-        y = gf128_mul(
-            y ^ int.from_bytes(part[index:index + BLOCK], "big"), h)
-    if full < len(part):
-        tail = part[full:] + bytes(BLOCK - (len(part) - full))
-        y = gf128_mul(y ^ int.from_bytes(tail, "big"), h)
-    return y
-
-
-class BitwiseGhash(GhashProvider):
-    """The golden model: per-bit shift-and-xor multiplies."""
-
-    name = "bitwise"
-
-    def digest(self, h: int, parts: Sequence[bytes]) -> int:
-        y = 0
-        for part in parts:
-            y = _fold_bitwise(y, h, part)
-        return y
-
+# ---------------------------------------------------------------- digest
 
 def _fold_table(y: int, part: bytes,
                 tables: List[List[int]]) -> int:
@@ -312,177 +205,106 @@ def _fold_table(y: int, part: bytes,
     return y
 
 
-class TableGhash(GhashProvider):
-    """Byte-table multiplies: 16 lookups per block."""
+def _fold_lanes(y: int, part: bytes, table_set: _TableSet) -> int:
+    """The numpy lane fold of one part (see :class:`Ghash`)."""
+    blocks = len(part) // BLOCK
+    lanes = VECTOR_LANES
+    chunks = blocks // lanes
+    head = (blocks - chunks * lanes) * BLOCK
+    # Scalar prefix so the vector body is an exact chunk multiple.
+    y = _fold_table(y, part[:head], table_set.tables)
+    body = len(part) // BLOCK * BLOCK
+    words = _np.frombuffer(
+        part, dtype=">u8", count=(body - head) // 8, offset=head,
+    ).astype(_np.uint64).reshape(-1, 2)
+    hi = _np.ascontiguousarray(words[:, 0]).reshape(chunks, lanes)
+    lo = _np.ascontiguousarray(words[:, 1]).reshape(chunks, lanes)
+    # Fold the running digest into the first block.
+    hi[0, 0] ^= _np.uint64(y >> 64)
+    lo[0, 0] ^= _np.uint64(y & _MASK64)
+    t_hi, t_lo = table_set.lane_tables()
+    u8 = _np.uint64(0xFF)
+    shifts = [_np.uint64(56 - 8 * j) for j in range(8)]
+    y_hi = hi[0].copy()
+    y_lo = lo[0].copy()
+    for chunk in range(1, chunks):
+        z_hi = t_hi[0][(y_hi >> shifts[0]) & u8]
+        z_lo = t_lo[0][(y_hi >> shifts[0]) & u8]
+        for j in range(1, 8):
+            idx = (y_hi >> shifts[j]) & u8
+            z_hi ^= t_hi[j][idx]
+            z_lo ^= t_lo[j][idx]
+        for j in range(8):
+            idx = (y_lo >> shifts[j]) & u8
+            z_hi ^= t_hi[8 + j][idx]
+            z_lo ^= t_lo[8 + j][idx]
+        y_hi = z_hi ^ hi[chunk]
+        y_lo = z_lo ^ lo[chunk]
+    # Scalar Horner combine: W multiplies with H's tables.
+    acc = 0
+    tables = table_set.tables
+    hi_list = y_hi.tolist()
+    lo_list = y_lo.tolist()
+    for lane in range(lanes):
+        acc = _table_mul(
+            acc ^ (hi_list[lane] << 64) ^ lo_list[lane], tables)
+    # Tail (partial block) after the vector body.
+    return _fold_table(acc, part[body:], table_set.tables)
 
-    name = "table"
 
-    def digest(self, h: int, parts: Sequence[bytes]) -> int:
-        tables = _TABLES.get(h).tables
-        y = 0
-        for part in parts:
-            y = _fold_table(y, part, tables)
-        return y
+class Ghash:
+    """The one GHASH path ``gcm`` routes through.
 
-    def forget(self, h: int) -> None:
-        _TABLES.discard(h)
-
-
-class VectorGhash(GhashProvider):
-    """Numpy lane decomposition over the byte tables.
-
-    With ``W`` lanes and blocks ``X_1..X_m`` (``m = kW`` after the
-    scalar-handled remainder), lane ``r`` Horner-folds the subsequence
-    ``X_{r+1}, X_{r+1+W}, ...`` stepping by ``H^W`` instead of ``H``;
-    lane ``r``'s result then carries weight ``H^{W-r}``, so a final
+    ``name`` says which fold large parts take here: ``vector`` with
+    numpy, ``table`` without.  With ``W`` lanes and blocks
+    ``X_1..X_m`` (``m = kW`` after the table-folded prefix), lane
+    ``r`` Horner-folds ``X_{r+1}, X_{r+1+W}, ...`` stepping by
+    ``H^W``; its result then carries weight ``H^{W-r}``, so a final
     scalar Horner pass ``acc = (acc ^ Y_r) · H`` recovers the exact
     GHASH value.  The running digest folds into the first block, so
-    parts chain exactly like the scalar providers.
+    parts chain exactly like the table fold.
     """
 
-    name = "vector"
-    vectorized = True
+    @property
+    def name(self) -> str:
+        return "vector" if _np is not None else "table"
 
     def digest(self, h: int, parts: Sequence[bytes]) -> int:
-        np = _numpy()
-        if np is None:
-            return _TABLE_PROVIDER.digest(h, parts)
-        table_set = _TABLES.get(h)
-        y = 0
-        for part in parts:
-            y = self._fold_part(np, y, h, part, table_set)
-        return y
-
-    def forget(self, h: int) -> None:
-        _TABLES.discard(h)
-
-    def _fold_part(self, np: object, y: int, h: int, part: bytes,
-                   table_set: _TableSet) -> int:
-        blocks = len(part) // BLOCK
-        if blocks < _VECTOR_MIN_BLOCKS:
-            return _fold_table(y, part, table_set.tables)
-        lanes = VECTOR_LANES
-        chunks = blocks // lanes
-        head = (blocks - chunks * lanes) * BLOCK
-        # Scalar prefix so the vector body is an exact chunk multiple.
-        y = _fold_table(y, part[:head], table_set.tables)
-        body = len(part) // BLOCK * BLOCK
-        words = np.frombuffer(  # type: ignore[attr-defined]
-            part, dtype=">u8", count=(body - head) // 8, offset=head,
-        ).astype(np.uint64).reshape(-1, 2)  # type: ignore[attr-defined]
-        hi = np.ascontiguousarray(  # type: ignore[attr-defined]
-            words[:, 0]).reshape(chunks, lanes)
-        lo = np.ascontiguousarray(  # type: ignore[attr-defined]
-            words[:, 1]).reshape(chunks, lanes)
-        # Fold the running digest into the first block.
-        hi[0, 0] ^= np.uint64(y >> 64)  # type: ignore[attr-defined]
-        lo[0, 0] ^= np.uint64(y & _MASK64)  # type: ignore[attr-defined]
-        t_hi, t_lo = table_set.numpy_pack(h, lanes)
-        y_hi = np.zeros(lanes, dtype=np.uint64)  # type: ignore[attr-defined]
-        y_lo = np.zeros(lanes, dtype=np.uint64)  # type: ignore[attr-defined]
-        u8 = np.uint64(0xFF)  # type: ignore[attr-defined]
-        shifts = [np.uint64(56 - 8 * j)  # type: ignore[attr-defined]
-                  for j in range(8)]
-        for chunk in range(chunks):
-            if chunk:
-                z_hi = t_hi[0][(y_hi >> shifts[0]) & u8]
-                z_lo = t_lo[0][(y_hi >> shifts[0]) & u8]
-                for j in range(1, 8):
-                    idx = (y_hi >> shifts[j]) & u8
-                    z_hi ^= t_hi[j][idx]
-                    z_lo ^= t_lo[j][idx]
-                for j in range(8):
-                    idx = (y_lo >> shifts[j]) & u8
-                    z_hi ^= t_hi[8 + j][idx]
-                    z_lo ^= t_lo[8 + j][idx]
-                y_hi = z_hi ^ hi[chunk]
-                y_lo = z_lo ^ lo[chunk]
-            else:
-                y_hi = hi[0].copy()
-                y_lo = lo[0].copy()
-        # Scalar Horner combine: W multiplies with H's tables.
-        acc = 0
-        tables = table_set.tables
-        hi_list = y_hi.tolist()  # type: ignore[attr-defined]
-        lo_list = y_lo.tolist()  # type: ignore[attr-defined]
-        for lane in range(lanes):
-            acc = _table_mul(
-                acc ^ (hi_list[lane] << 64) ^ lo_list[lane], tables)
-        # Tail (partial block) after the vector body.
-        return _fold_table(acc, part[body:], table_set.tables)
+        """GHASH of the parts, each zero-padded to a block boundary."""
+        with _TABLES.lease(h) as table_set:
+            y = 0
+            for part in parts:
+                if _np is None or \
+                        len(part) // BLOCK < _VECTOR_MIN_BLOCKS:
+                    y = _fold_table(y, part, table_set.tables)
+                else:
+                    y = _fold_lanes(y, part, table_set)
+            return y
 
 
-_BITWISE_PROVIDER = BitwiseGhash()
-_TABLE_PROVIDER = TableGhash()
-_VECTOR_PROVIDER = VectorGhash()
+_GHASH = Ghash()
 
 
-def available_providers() -> Dict[str, GhashProvider]:
-    """Providers usable in this interpreter, keyed by name."""
-    providers: Dict[str, GhashProvider] = {
-        "bitwise": _BITWISE_PROVIDER,
-        "table": _TABLE_PROVIDER,
-    }
-    if have_numpy():
-        providers["vector"] = _VECTOR_PROVIDER
-    return providers
+def default_provider() -> Ghash:
+    """The process-wide GHASH object ``gcm`` looks ``digest`` up on."""
+    return _GHASH
 
 
-def get_provider(name: str = "auto") -> GhashProvider:
-    """Resolve a provider name; ``auto`` picks the fastest available."""
-    if name == "auto":
-        return _VECTOR_PROVIDER if have_numpy() else _TABLE_PROVIDER
-    providers = available_providers()
-    try:
-        return providers[name]
-    except KeyError:
-        if name == "vector":
-            raise ValueError(
-                "ghash provider 'vector' needs numpy, which is not "
-                "importable here (try 'table')"
-            ) from None
-        known = ", ".join(sorted(providers))
+def get_provider(name: str = "auto") -> Ghash:
+    """The same object; ``auto`` is the only name."""
+    if name != "auto":
         raise ValueError(
-            f"unknown ghash provider {name!r} (known: {known}, "
-            f"or 'auto')"
-        ) from None
-
-
-_DEFAULT: Optional[GhashProvider] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_provider() -> GhashProvider:
-    """Process-wide provider the GCM hot path routes through."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        with _DEFAULT_LOCK:
-            if _DEFAULT is None:
-                _DEFAULT = get_provider("auto")
-    return _DEFAULT
-
-
-def set_default_provider(name: str) -> GhashProvider:
-    """Pin the process-wide provider (bench / CLI override)."""
-    global _DEFAULT
-    provider = get_provider(name)
-    with _DEFAULT_LOCK:
-        _DEFAULT = provider
-    return provider
+            f"unknown ghash provider {name!r}: the one path is 'auto'")
+    return _GHASH
 
 
 __all__ = [
     "BLOCK",
-    "BitwiseGhash",
-    "GhashProvider",
-    "TableGhash",
+    "Ghash",
     "VECTOR_LANES",
-    "VectorGhash",
-    "available_providers",
     "default_provider",
     "forget",
     "get_provider",
     "gf128_mul",
     "have_numpy",
-    "set_default_provider",
 ]

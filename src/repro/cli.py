@@ -379,7 +379,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             backend_names=args.backend or None,
             serve=not args.no_serve,
             ghash=not args.no_ghash,
-            ghash_names=args.ghash or None,
             cluster=not args.no_cluster,
         )
     except BackendMismatch as exc:
@@ -877,12 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-serve", action="store_true",
                    help="skip the loopback serve scenario (matrix "
                         "and equivalence gate only)")
-    p.add_argument("--ghash", action="append", metavar="NAME",
-                   help="restrict the GHASH section to these "
-                        "providers (repeatable; bitwise always "
-                        "runs — it defines the speedup denominator)")
     p.add_argument("--no-ghash", action="store_true",
-                   help="skip the GHASH provider section")
+                   help="skip the GHASH timing section")
     p.add_argument("--no-cluster", action="store_true",
                    help="skip the multi-process cluster scaling "
                         "scenario (no worker processes spawned)")

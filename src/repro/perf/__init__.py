@@ -12,6 +12,8 @@ way high-traffic deployments actually run block ciphers:
   which amortizes key expansion through an LRU round-key cache and
   processes many blocks per call — vectorized with numpy for large
   batches when numpy is available, pure Python otherwise.
+- :mod:`repro.perf.keycache` — the one locked, zeroizing LRU behind
+  the round-key cache and the GHASH tables of :mod:`repro.aes.ghash`.
 - :mod:`repro.perf.evp` — the opt-in OpenSSL EVP ceiling, registered
   only where libcrypto passes its known-answer test.
 - :mod:`repro.perf.engine` — :class:`~repro.perf.engine.BatchEngine`,

@@ -34,7 +34,6 @@ inverse tables.
 from __future__ import annotations
 
 import struct as _struct
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.aes.cipher import AES128
@@ -42,6 +41,7 @@ from repro.aes.constants import INV_SBOX, SBOX
 from repro.aes.fast import T0, T1, T2, T3
 from repro.aes.key_schedule import expand_key
 from repro.gf.galois import gf_mul
+from repro.perf.keycache import ZeroizingLRU
 
 try:  # optional vectorization — detected, never required
     import numpy as _np
@@ -158,7 +158,22 @@ def inverse_schedule(schedule: Sequence[int]) -> List[int]:
 _SCHEDULE = _struct.Struct(f">{4 * (_ROUNDS + 1)}I")
 
 
-class RoundKeyCache:
+def _expand_packed(key: bytes) -> bytearray:
+    """Both directions' schedules for ``key`` in one wipeable buffer:
+    the encryption schedule, then :func:`inverse_schedule`'s."""
+    schedule = expand_key(key, _ROUNDS)
+    packed = bytearray(2 * _SCHEDULE.size)
+    _SCHEDULE.pack_into(packed, 0, *schedule)
+    _SCHEDULE.pack_into(packed, _SCHEDULE.size,
+                        *inverse_schedule(schedule))
+    return packed
+
+
+def _zero(packed: bytearray) -> None:
+    packed[:] = bytes(len(packed))
+
+
+class RoundKeyCache(ZeroizingLRU[bytes, bytearray]):
     """LRU cache of expanded AES-128 schedules, keyed by the raw key.
 
     The paper's device expands on the fly precisely to avoid storing
@@ -169,31 +184,15 @@ class RoundKeyCache:
     entry holds both directions: the encryption schedule and the
     equivalent inverse cipher's (:func:`inverse_schedule`).
 
-    Hygiene: each entry lives in a private ``bytearray`` that is
-    **overwritten with zeros** when it is evicted, discarded or
-    cleared — derived key material never waits in freed memory for
-    the allocator to hand it to someone else.  ``words`` unpacks a
-    fresh tuple per call, so callers never hold a reference into the
-    wipeable buffer.
+    Hygiene and locking are :class:`~repro.perf.keycache.ZeroizingLRU`'s:
+    each entry lives in a private ``bytearray`` that is **overwritten
+    with zeros** when it is evicted, discarded or cleared.  ``words``
+    unpacks a fresh tuple per call, so callers never hold a reference
+    into the wipeable buffer.
     """
 
     def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self._capacity = capacity
-        self._entries: "OrderedDict[bytes, bytearray]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def capacity(self) -> int:
-        """Maximum number of cached schedules."""
-        return self._capacity
-
-    @staticmethod
-    def _wipe(packed: bytearray) -> None:
-        packed[:] = bytes(len(packed))
+        super().__init__(capacity, _expand_packed, _zero)
 
     def words(self, key: bytes, inverse: bool = False
               ) -> Tuple[int, ...]:
@@ -204,21 +203,9 @@ class RoundKeyCache:
             raise ValueError(
                 f"AES-128 key must be {BLOCK} bytes, got {len(key)}"
             )
-        offset = _SCHEDULE.size if inverse else 0
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-            return _SCHEDULE.unpack_from(entry, offset)
-        schedule = expand_key(key, _ROUNDS)
-        packed = bytearray(2 * _SCHEDULE.size)
-        _SCHEDULE.pack_into(packed, 0, *schedule)
-        _SCHEDULE.pack_into(packed, _SCHEDULE.size,
-                            *inverse_schedule(schedule))
-        self._entries[key] = packed
-        if len(self._entries) > self._capacity:
-            _, evicted = self._entries.popitem(last=False)
-            self._wipe(evicted)
-        return _SCHEDULE.unpack_from(packed, offset)
+        with self.lease(key) as packed:
+            return _SCHEDULE.unpack_from(
+                packed, _SCHEDULE.size if inverse else 0)
 
     def discard(self, key: bytes) -> None:
         """Zeroize and drop one key's schedules, if cached.
@@ -227,15 +214,7 @@ class RoundKeyCache:
         session teardown so a closed session's schedules do not
         outlive it in the process-wide cache.
         """
-        entry = self._entries.pop(bytes(key), None)
-        if entry is not None:
-            self._wipe(entry)
-
-    def clear(self) -> None:
-        """Zeroize and drop every cached schedule (hygiene hook)."""
-        for entry in self._entries.values():
-            self._wipe(entry)
-        self._entries.clear()
+        super().discard(bytes(key))
 
 
 class Backend:
@@ -287,24 +266,15 @@ class BaselineBackend(Backend):
 class SlicedBackend(Backend):
     """Word-sliced batch T-table backend with an LRU round-key cache.
 
-    ``vectorize=None`` (the default) auto-detects numpy;
-    ``vectorize=False`` forces the pure-Python sliced loop (the tests
-    run both against the golden model); ``vectorize=True`` demands
-    numpy and raises if it is missing.  Either way, batches under
-    :data:`_NP_MIN_BLOCKS` blocks run the pure-Python loop.
+    Batches of at least :data:`_NP_MIN_BLOCKS` blocks run the numpy
+    loop when numpy is importable; smaller ones, and every batch
+    without numpy, run the pure-Python loop.
     """
 
     name = "sliced"
 
-    def __init__(self, cache: Optional[RoundKeyCache] = None,
-                 vectorize: Optional[bool] = None):
-        if vectorize is None:
-            vectorize = _np is not None
-        if vectorize and _np is None:
-            raise RuntimeError("numpy is not available; "
-                               "use vectorize=False")
-        self._vectorize = bool(vectorize)
-        self._cache = cache if cache is not None else RoundKeyCache()
+    def __init__(self) -> None:
+        self._cache = RoundKeyCache()
 
     @property
     def cache(self) -> RoundKeyCache:
@@ -314,7 +284,7 @@ class SlicedBackend(Backend):
     @property
     def vectorized(self) -> bool:
         """True when large batches take the numpy gather path."""
-        return self._vectorize
+        return _np is not None
 
     def encrypt_blocks(self, key: bytes, data: bytes) -> bytes:
         if not data:
@@ -329,7 +299,7 @@ class SlicedBackend(Backend):
 
     def _run(self, rk: Sequence[int], data: bytes,
              direction: _Direction) -> bytes:
-        if self._vectorize and len(data) >= _NP_MIN_BLOCKS * BLOCK:
+        if _np is not None and len(data) >= _NP_MIN_BLOCKS * BLOCK:
             return _sliced_numpy(rk, data, direction)
         return _sliced_python(rk, data, direction)
 

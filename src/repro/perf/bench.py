@@ -35,7 +35,7 @@ JSON schema (``repro-aes/software-throughput/v7``)::
                "openssl": "OpenSSL 3.x ..." | null},
       "equivalence": {"backends": [...], "primitives": [...],
                       "corpus_blocks": ..., "mismatches": 0,
-                      "ghash_providers": [...],
+                      "ghash_providers": ["vector" | "table"],
                       "ghash_cases": ..., "ghash_mismatches": 0},
       "workloads": [
         {"backend": "sliced", "vectorized": true, "mode": "ctr",
@@ -45,9 +45,9 @@ JSON schema (``repro-aes/software-throughput/v7``)::
          "speedup_vs_baseline": ...}
       ],
       "ghash": {
-        "providers": ["bitwise", "table", "vector"],
+        "providers": ["bitwise", "vector" | "table"],
         "workloads": [
-          {"provider": "table", "vectorized": false,
+          {"provider": "vector", "vectorized": true,
            "kind": "digest" | "gcm", "size_bytes": ...,
            "blocks": ..., "measured_blocks": ..., "reps": ...,
            "seconds": ..., "blocks_per_s": ..., "mb_per_s": ...,
@@ -75,8 +75,8 @@ The ``obs`` section is a :mod:`repro.obs.metrics` snapshot of the
 engine instrumentation accumulated during the run; ``serve`` is a
 loopback run of the :mod:`repro.serve` service recording what the
 whole stack achieves in requests/s and client-observed latency next
-to the raw engine rates; ``ghash`` times every GHASH provider with
-``bitwise`` as the denominator; ``cluster`` drives the same closed
+to the raw engine rates; ``ghash`` times the one GHASH path against
+the golden ``bitwise`` fold; ``cluster`` drives the same closed
 loop through the :mod:`repro.serve.cluster` gateway, one row per
 worker-process count (on a single-CPU host ``speedup_vs_single``
 honestly reads "barely").  v7 dropped v6's top-level ``workers``
@@ -129,10 +129,10 @@ BATCH_MODES = ("ecb", "ctr")
 _MEASURE_CAPS = {"baseline": 2048}
 _MEASURE_CAPS_QUICK = {"baseline": 512}
 
-#: Same discipline for the GHASH section: the bitwise provider runs
+#: Same discipline for the GHASH section: the golden bitwise fold runs
 #: ~50k blocks/s, so it is timed on a capped prefix and scaled.
-_GHASH_CAPS = {"bitwise": 4096}
-_GHASH_CAPS_QUICK = {"bitwise": 1024}
+_BITWISE_CAP = 4096
+_BITWISE_CAP_QUICK = 1024
 
 #: Seed for every corpus/payload this harness generates — pinned so
 #: the trajectory compares like against like across PRs.
@@ -237,22 +237,19 @@ def cross_check(backends: Optional[Dict[str, Backend]] = None,
     }
 
 
-def cross_check_ghash(providers: Optional[Dict[str, object]] = None,
-                      seed: int = _SEED) -> Dict[str, object]:
-    """Verify every GHASH provider against the golden ``_ghash``.
+def cross_check_ghash(seed: int = _SEED) -> Dict[str, object]:
+    """Verify the one GHASH digest against the golden ``_ghash``.
 
-    The corpus sweeps message lengths 0..3 blocks ± 1 byte, a
-    multi-part split (GCM's AAD/ciphertext/lengths layout), and a
-    buffer long enough to cross the vector provider's lane
-    threshold.  Raises :class:`BackendMismatch` on the first
-    divergence; returns the summary merged into the bench JSON's
-    ``equivalence`` section.
+    The corpus sweeps message lengths 0..3 blocks ± 1 byte (the byte
+    table fold), a multi-part split (GCM's AAD/ciphertext/lengths
+    layout), and a buffer long enough to take the numpy lane fold.
+    Raises :class:`BackendMismatch` on the first divergence; returns
+    the summary merged into the bench JSON's ``equivalence`` section.
     """
     from repro.aes import ghash as ghash_mod
     from repro.aes.gcm import _ghash as golden
 
-    if providers is None:
-        providers = dict(ghash_mod.available_providers())
+    ghash = ghash_mod.default_provider()
     rng = random.Random(seed)
     subkeys = [rng.getrandbits(128) for _ in range(2)]
     lengths = sorted({
@@ -263,27 +260,19 @@ def cross_check_ghash(providers: Optional[Dict[str, object]] = None,
     for subkey in subkeys:
         for length in lengths:
             data = rng.randbytes(length)
-            want = golden(
-                data=data + bytes((-length) % BLOCK), h=subkey)
             split = rng.randrange(length + 1)
-            layouts = [(data,), (data[:split], data[split:])]
-            for parts in layouts:
+            for parts in ((data,), (data[:split], data[split:])):
+                cases += 1
                 padded = b"".join(
                     p + bytes((-len(p)) % BLOCK) for p in parts)
-                expect = golden(subkey, padded) \
-                    if len(parts) > 1 else want
-                for name, provider in sorted(providers.items()):
-                    cases += 1
-                    got = provider.digest(subkey, parts)
-                    if got != expect:
-                        raise BackendMismatch(
-                            f"ghash provider {name!r} diverges from "
-                            f"the golden _ghash on a {length}-byte "
-                            f"message split {tuple(len(p) for p in parts)} "
-                            f"(seed {seed})"
-                        )
+                if ghash.digest(subkey, parts) != golden(subkey, padded):
+                    raise BackendMismatch(
+                        f"ghash {ghash.name!r} diverges from the golden "
+                        f"_ghash on a {length}-byte message split "
+                        f"{tuple(len(p) for p in parts)} (seed {seed})"
+                    )
     return {
-        "ghash_providers": sorted(providers),
+        "ghash_providers": [ghash.name],
         "ghash_cases": cases,
         "ghash_mismatches": 0,
     }
@@ -479,40 +468,26 @@ def cluster_scenario(quick: bool = False,
 
 def ghash_section(quick: bool = False,
                   sizes: Optional[Sequence[int]] = None,
-                  reps: Optional[int] = None,
-                  provider_names: Optional[Sequence[str]] = None
-                  ) -> Dict[str, object]:
-    """Time every GHASH provider: raw digests and end-to-end GCM.
+                  reps: Optional[int] = None) -> Dict[str, object]:
+    """Time the one GHASH path against the golden bitwise fold.
 
-    Two row kinds per (provider, size): ``digest`` isolates the
-    GF(2^128) fold itself; ``gcm`` runs :func:`repro.aes.gcm.
-    gcm_encrypt` with the process default provider pinned to the row's
-    provider, so the row shows what the mode users actually feel.
-    ``bitwise`` — the golden model's cost — is the denominator of
-    ``speedup_vs_bitwise`` and is measured on a capped prefix like
-    the baseline cipher backend.
+    Rows per size: ``bitwise`` ``digest`` runs the golden
+    :func:`repro.aes.gcm._ghash` on a capped prefix like the baseline
+    cipher backend, and is the denominator of every
+    ``speedup_vs_bitwise``; the one path's ``digest`` row isolates the
+    GF(2^128) fold, and its ``gcm`` row runs :func:`repro.aes.gcm.
+    gcm_encrypt` to show what the mode users actually feel.
     """
     from repro.aes import ghash as ghash_mod
+    from repro.aes.gcm import _ghash as golden
     from repro.aes.gcm import gcm_encrypt
-
-    providers = dict(ghash_mod.available_providers())
-    if provider_names:
-        unknown = sorted(set(provider_names) - set(providers))
-        if unknown:
-            raise ValueError(
-                f"unknown ghash providers: {', '.join(unknown)}")
-        providers = {name: providers[name]
-                     for name in provider_names}
-    if "bitwise" not in providers:
-        providers["bitwise"] = \
-            ghash_mod.available_providers()["bitwise"]
 
     if sizes is None:
         sizes = QUICK_SIZES if quick else FULL_SIZES
     sizes = sorted(set(int(s) for s in sizes))
     if reps is None:
         reps = 1 if quick else 3
-    caps = _GHASH_CAPS_QUICK if quick else _GHASH_CAPS
+    cap = _BITWISE_CAP_QUICK if quick else _BITWISE_CAP
 
     rng = random.Random(_SEED)
     subkey = rng.getrandbits(128)
@@ -520,60 +495,46 @@ def ghash_section(quick: bool = False,
     iv = rng.randbytes(12)
     payload = rng.randbytes(max(sizes))
 
+    ghash = ghash_mod.default_provider()
+    vectorized = ghash_mod.have_numpy()
+    runs: List[Tuple[str, bool, str, Optional[int], Callable]] = [
+        ("bitwise", False, "digest", cap,
+         lambda p: golden(subkey, p)),
+        (ghash.name, vectorized, "digest", None,
+         lambda p: ghash.digest(subkey, (p,))),
+        (ghash.name, vectorized, "gcm", None,
+         lambda p: gcm_encrypt(key, iv, p)),
+    ]
     rows: List[Dict[str, object]] = []
-    previous = ghash_mod.default_provider()
-    try:
-        for name in sorted(providers):
-            provider = providers[name]
-            cap = caps.get(name)
-            for size in sizes:
-                blocks = size // BLOCK
-                measured = blocks if cap is None \
-                    else min(blocks, cap)
-                piece = payload[:measured * BLOCK]
-                for kind in ("digest", "gcm"):
-                    if kind == "digest":
-                        fn: Callable[[], object] = (
-                            lambda p=piece, prov=provider:
-                            prov.digest(subkey, (p,)))
-                    else:
-                        ghash_mod.set_default_provider(name)
-                        fn = (lambda p=piece:
-                              gcm_encrypt(key, iv, p))
-                    with trace_span("bench.ghash", provider=name,
-                                    kind=kind, size_bytes=size):
-                        seconds = _measure(fn, reps)
-                    per_rep = seconds / reps if reps else 0.0
-                    rate = (measured / per_rep) if per_rep > 0 \
-                        else 0.0
-                    rows.append({
-                        "provider": name,
-                        "vectorized": provider.vectorized,
-                        "kind": kind,
-                        "size_bytes": size,
-                        "blocks": blocks,
-                        "measured_blocks": measured,
-                        "reps": reps,
-                        "seconds": round(seconds, 6),
-                        "blocks_per_s": round(rate, 1),
-                        "mb_per_s": round(
-                            rate * BLOCK / (1024 * 1024), 3),
-                    })
-    finally:
-        ghash_mod.set_default_provider(previous.name)
-
-    base: Dict[object, float] = {}
-    for row in rows:
-        if row["provider"] == "bitwise":
-            base[(row["kind"], row["size_bytes"])] = \
-                float(row["blocks_per_s"])  # type: ignore[arg-type]
-    for row in rows:
-        denom = base.get((row["kind"], row["size_bytes"]))
-        rate = float(row["blocks_per_s"])  # type: ignore[arg-type]
-        row["speedup_vs_bitwise"] = (
-            round(rate / denom, 2) if denom else None
-        )
-    return {"providers": sorted(providers), "workloads": rows}
+    base: Dict[int, float] = {}
+    for name, vector, kind, limit, run in runs:
+        for size in sizes:
+            blocks = size // BLOCK
+            measured = blocks if limit is None else min(blocks, limit)
+            piece = payload[:measured * BLOCK]
+            with trace_span("bench.ghash", provider=name, kind=kind,
+                            size_bytes=size):
+                seconds = _measure(lambda: run(piece), reps)
+            per_rep = seconds / reps if reps else 0.0
+            rate = (measured / per_rep) if per_rep > 0 else 0.0
+            if name == "bitwise":
+                base[size] = rate
+            denom = base.get(size)
+            rows.append({
+                "provider": name,
+                "vectorized": vector,
+                "kind": kind,
+                "size_bytes": size,
+                "blocks": blocks,
+                "measured_blocks": measured,
+                "reps": reps,
+                "seconds": round(seconds, 6),
+                "blocks_per_s": round(rate, 1),
+                "mb_per_s": round(rate * BLOCK / (1024 * 1024), 3),
+                "speedup_vs_bitwise": (
+                    round(rate / denom, 2) if denom else None),
+            })
+    return {"providers": ["bitwise", ghash.name], "workloads": rows}
 
 
 def _measure(fn: Callable[[], object], reps: int) -> float:
@@ -591,7 +552,6 @@ def run_bench(quick: bool = False,
               corpus_blocks: int = 48,
               serve: bool = True,
               ghash: bool = True,
-              ghash_names: Optional[Sequence[str]] = None,
               cluster: bool = True
               ) -> Dict[str, object]:
     """Equivalence-gate then time the pinned workload matrix.
@@ -599,12 +559,10 @@ def run_bench(quick: bool = False,
     Returns the full report dict (the JSON payload).  ``sizes`` and
     ``reps`` override the pinned matrix for smoke tests; the defaults
     are the persisted-trajectory configuration.  ``ghash=False``
-    skips the GHASH section (``"ghash": null``); ``ghash_names``
-    restricts it to specific providers (``bitwise`` always rides
-    along as the denominator).  ``cluster=False`` skips the
-    multi-process cluster scaling section (``"cluster": null``) —
-    useful where spawning worker processes is unwelcome (sandboxes,
-    coverage runs).
+    skips the GHASH section (``"ghash": null``).  ``cluster=False``
+    skips the multi-process cluster scaling section
+    (``"cluster": null``) — useful where spawning worker processes is
+    unwelcome (sandboxes, coverage runs).
     """
     all_backends = available_backends()
     if backend_names:
@@ -679,10 +637,8 @@ def run_bench(quick: bool = False,
                      cbc_size, cbc_blocks, measured, reps, seconds))
 
     _attach_speedups(rows)
-    ghash_rows = ghash_section(
-        quick=quick, sizes=sizes, reps=reps,
-        provider_names=ghash_names,
-    ) if ghash else None
+    ghash_rows = ghash_section(quick=quick, sizes=sizes, reps=reps) \
+        if ghash else None
     serve_row = serve_scenario(quick=quick) if serve else None
     cluster_section = cluster_scenario(quick=quick) if cluster \
         else None
@@ -774,42 +730,34 @@ def render_report(report: Dict[str, object]) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for row in report["workloads"]:  # type: ignore[union-attr]
-        speedup = row["speedup_vs_baseline"]
-        speedup_text = f"{speedup:.2f}x" if speedup else "-"
         tag = "*" if row["vectorized"] else " "
         lines.append(
             f"{row['backend']:<10}{tag}{row['mode']:<5} "
             f"{_human_size(row['size_bytes']):>9} "
             f"{row['blocks_per_s']:>12,.0f} "
-            f"{row['mb_per_s']:>9.2f} {speedup_text:>12}"
+            f"{row['mb_per_s']:>9.2f} "
+            f"{_times(row['speedup_vs_baseline']):>12}"
         )
     ghash = report.get("ghash")
     if ghash:
-        lines.append("ghash (provider, digest | end-to-end gcm):")
+        lines.append("ghash (digest | end-to-end gcm, vs bitwise digest):")
         by_key: Dict[object, Dict[str, object]] = {
             (row["provider"], row["kind"], row["size_bytes"]): row
             for row in ghash["workloads"]  # type: ignore[index]
         }
-        providers = ghash["providers"]  # type: ignore[index]
-        ghash_rows = ghash["workloads"]  # type: ignore[index]
-        sizes_seen = sorted({row["size_bytes"]
-                             for row in ghash_rows})
-        for provider in providers:  # type: ignore[union-attr]
-            for size in sizes_seen:
-                digest = by_key.get((provider, "digest", size))
-                gcm = by_key.get((provider, "gcm", size))
-                if digest is None or gcm is None:
-                    continue
-                speedup = gcm["speedup_vs_bitwise"]
-                speedup_text = (f"{speedup:.2f}x"
-                                if speedup else "-")
-                tag = "*" if digest["vectorized"] else " "
-                lines.append(
-                    f"  {provider:<8}{tag}{_human_size(size):>9} "
-                    f"{digest['mb_per_s']:>9.2f} MB/s | "
-                    f"gcm {gcm['mb_per_s']:>9.2f} MB/s "
-                    f"{speedup_text:>9} vs bitwise"
-                )
+        name = ghash["providers"][-1]  # type: ignore[index]
+        for (provider, kind, size), digest in by_key.items():
+            gcm = by_key.get((provider, "gcm", size))
+            if provider != name or kind != "digest" or gcm is None:
+                continue
+            tag = "*" if digest["vectorized"] else " "
+            lines.append(
+                f"  {name:<8}{tag}{_human_size(size):>9} "
+                f"{digest['mb_per_s']:>9.2f} MB/s "
+                f"{_times(digest['speedup_vs_bitwise']):>9} | "
+                f"gcm {gcm['mb_per_s']:>9.2f} MB/s "
+                f"{_times(gcm['speedup_vs_bitwise']):>9}"
+            )
     eq: Dict[str, object] = report["equivalence"]  # type: ignore[assignment]
     backends_n = len(eq["backends"])  # type: ignore[arg-type]
     primitives_n = len(eq["primitives"])  # type: ignore[arg-type]
@@ -859,18 +807,20 @@ def render_report(report: Dict[str, object]) -> str:
             f"{mode_name} {_human_size(payload)}:"
         )
         for row in cluster["rows"]:  # type: ignore[index]
-            speedup = row["speedup_vs_single"]
-            speedup_text = f"{speedup:.2f}x" if speedup else "-"
             lines.append(
                 f"  {row['workers']} worker(s): "
                 f"{row['requests_per_s']:>8,.0f} req/s, "
                 f"{row['mb_per_s']:.2f} MB/s, "
                 f"{row['errors']} error(s), "
-                f"{speedup_text} vs single"
+                f"{_times(row['speedup_vs_single'])} vs single"
             )
     lines.append("(* = numpy-vectorized; baseline rows may be "
                  "measured on a capped prefix, see measured_blocks)")
     return "\n".join(lines)
+
+
+def _times(speedup: object) -> str:
+    return f"{speedup:.2f}x" if speedup else "-"
 
 
 def _human_size(size: int) -> str:

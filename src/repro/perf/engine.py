@@ -214,7 +214,8 @@ def forget_key(key: bytes) -> None:
     drops the expanded schedules from the engine's
     :class:`~repro.perf.backends.RoundKeyCache` and the GHASH byte
     tables derived from the subkey — both are overwritten with zeros,
-    not merely dropped.  The serve layer calls this on session
+    not merely dropped, as soon as no other session's request is
+    still reading them.  The serve layer calls this on session
     teardown; callers with private engines wipe their own backend's
     cache.
 

@@ -94,7 +94,8 @@ class AdminServer:
             return
         self._server.close()
         try:
-            await asyncio.wait_for(self._server.wait_closed(), 5.0)
+            async with asyncio.timeout(5.0):
+                await self._server.wait_closed()
         except asyncio.TimeoutError:  # pragma: no cover - defensive
             pass
         self._server = None
@@ -114,7 +115,8 @@ class AdminServer:
             ).encode("ascii")
             writer.write(head)
             writer.write(payload)
-            await asyncio.wait_for(writer.drain(), self._io_timeout)
+            async with asyncio.timeout(self._io_timeout):
+                await writer.drain()
         except (ConnectionError, asyncio.TimeoutError):
             pass  # scraper vanished or stalled; nothing to answer
         except Exception:  # pragma: no cover - defensive
@@ -122,13 +124,14 @@ class AdminServer:
         finally:
             writer.close()
             try:
-                await asyncio.wait_for(writer.wait_closed(), 5.0)
+                async with asyncio.timeout(5.0):
+                    await writer.wait_closed()
             except (asyncio.TimeoutError, ConnectionError):
                 pass
 
     async def _readline(self, reader: asyncio.StreamReader) -> bytes:
-        line = await asyncio.wait_for(reader.readline(),
-                                      self._io_timeout)
+        async with asyncio.timeout(self._io_timeout):
+            line = await reader.readline()
         if len(line) > MAX_LINE_BYTES:
             raise ValueError("header line exceeds the line limit")
         return line

@@ -121,10 +121,9 @@ class CryptoClient:
         """Open (or re-open) the connection, bounded by
         ``connect_timeout``."""
         await self.close()
-        self._reader, self._writer = await asyncio.wait_for(
-            asyncio.open_connection(self.host, self.port),
-            self.connect_timeout,
-        )
+        async with asyncio.timeout(self.connect_timeout):
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port)
 
     async def close(self) -> None:
         """Close the connection; safe to call when not connected."""
@@ -133,7 +132,8 @@ class CryptoClient:
             return
         writer.close()
         try:
-            await asyncio.wait_for(writer.wait_closed(), 5.0)
+            async with asyncio.timeout(5.0):
+                await writer.wait_closed()
         except (asyncio.TimeoutError, ConnectionError):
             pass
 

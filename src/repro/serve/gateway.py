@@ -373,8 +373,8 @@ class Gateway:
         if self._server is not None:
             self._server.close()
             try:
-                await asyncio.wait_for(self._server.wait_closed(),
-                                       self.config.drain_timeout)
+                async with asyncio.timeout(self.config.drain_timeout):
+                    await self._server.wait_closed()
             except asyncio.TimeoutError:  # pragma: no cover
                 pass
         loop = asyncio.get_running_loop()
@@ -490,10 +490,9 @@ class Gateway:
     async def _dial(self, conn: _GatewayConn,
                     state: _BackendState) -> _Upstream:
         spec = state.spec
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(spec.host, spec.port),
-            self.config.connect_timeout,
-        )
+        async with asyncio.timeout(self.config.connect_timeout):
+            reader, writer = await asyncio.open_connection(
+                spec.host, spec.port)
         upstream = _Upstream(shard=spec.shard, reader=reader,
                              writer=writer)
         upstream.pump_task = asyncio.get_running_loop().create_task(
@@ -600,10 +599,8 @@ async def _probe_ready(host: str, port: int,
                        timeout: float) -> bool:
     """One ``GET /readyz`` against a worker admin plane.
 
-    Bounded by ``asyncio.timeout``, not ``asyncio.wait_for``: on
-    CPython 3.11 ``wait_for`` returns its inner result when a cancel
-    lands as that result arrives, and a health loop cancelled that way
-    by :meth:`Gateway.stop` would keep probing forever.
+    Bounded by ``asyncio.timeout``, so a cancel from
+    :meth:`Gateway.stop` always ends the health loop.
     """
     try:
         async with asyncio.timeout(timeout):

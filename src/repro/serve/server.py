@@ -151,8 +151,9 @@ class Session:
         """Session teardown hygiene: forget the key's derived state.
 
         Drops the session's expanded schedule from the process-wide
-        round-key cache and its GHASH tables (both zeroized there),
-        so a closed session's key material does not linger in caches
+        round-key cache and its GHASH tables (both zeroized there once
+        no request of a session sharing the key still reads them), so
+        a closed session's key material does not linger in caches
         shared with other tenants.
         """
         key, self.key = self.key, None

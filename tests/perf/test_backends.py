@@ -1,6 +1,8 @@
 """Backends must agree bit-for-bit with the straightforward model."""
 
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -47,18 +49,27 @@ def serial_ecb_decrypt(key, data):
                     for i in range(0, len(data), 16))
 
 
-def all_backends():
-    backends = [BaselineBackend(), SlicedBackend(vectorize=False)]
+def _backend_params():
+    """(backend class, block numpy?) per case: ``sliced-py`` runs with
+    numpy blocked, so every batch takes the pure-Python loop."""
+    params = [pytest.param((BaselineBackend, False), id="baseline-py"),
+              pytest.param((SlicedBackend, True), id="sliced-py")]
     if have_numpy():
-        backends.append(SlicedBackend(vectorize=True))
+        params.append(pytest.param((SlicedBackend, False),
+                                   id="sliced-np"))
     if have_evp():
-        backends.append(EvpBackend())
-    return backends
+        params.append(pytest.param((EvpBackend, False), id="evp-np"))
+    return params
 
 
-@pytest.mark.parametrize("backend", all_backends(),
-                         ids=lambda b: f"{b.name}-"
-                         f"{'np' if b.vectorized else 'py'}")
+@pytest.fixture(params=_backend_params())
+def backend(request, monkeypatch):
+    cls, block_numpy = request.param
+    if block_numpy:
+        monkeypatch.setattr(backends_mod, "_np", None)
+    return cls()
+
+
 class TestEquivalence:
     def test_nist_ecb_vector(self, backend):
         got = backend.encrypt_blocks(SP800_38A_ECB128_KEY,
@@ -101,18 +112,18 @@ class TestEquivalence:
 
 
 class TestSlicedVariants:
-    def test_pure_matches_vectorized(self):
+    def test_pure_matches_vectorized(self, monkeypatch):
         if not have_numpy():
             pytest.skip("numpy not available")
         rng = random.Random(11)
         key = rng.randbytes(16)
         data = rng.randbytes(16 * 50)
-        pure = SlicedBackend(vectorize=False)
-        fast = SlicedBackend(vectorize=True)
-        assert pure.encrypt_blocks(key, data) == \
-            fast.encrypt_blocks(key, data)
-        assert pure.decrypt_blocks(key, data) == \
-            fast.decrypt_blocks(key, data)
+        backend = SlicedBackend()
+        fast = (backend.encrypt_blocks(key, data),
+                backend.decrypt_blocks(key, data))
+        monkeypatch.setattr(backends_mod, "_np", None)
+        assert (backend.encrypt_blocks(key, data),
+                backend.decrypt_blocks(key, data)) == fast
 
     @needs_numpy
     @pytest.mark.parametrize("blocks", [_NP_MIN_BLOCKS - 1,
@@ -186,16 +197,17 @@ class TestSlicedVariants:
             assert dk[base:base + 4] == \
                 [words[j] for j in _INVERSE.order]
 
-    def test_vectorize_flag_reported(self):
-        assert SlicedBackend(vectorize=False).vectorized is False
-        if have_numpy():
-            assert SlicedBackend().vectorized is True
+    def test_vectorize_flag_reported(self, monkeypatch):
+        backend = SlicedBackend()
+        assert backend.vectorized is have_numpy()
+        monkeypatch.setattr(backends_mod, "_np", None)
+        assert backend.vectorized is False
 
-    def test_shares_injected_cache(self):
-        cache = RoundKeyCache(capacity=4)
-        backend = SlicedBackend(cache=cache, vectorize=False)
+    def test_expands_through_its_cache(self):
+        backend = SlicedBackend()
         backend.encrypt_blocks(bytes(16), bytes(16))
-        assert len(cache) == 1
+        backend.decrypt_blocks(bytes(16), bytes(16))
+        assert len(backend.cache) == 1
 
 
 class TestRoundKeyCache:
@@ -326,7 +338,7 @@ class TestRoundKeyCacheHygiene:
         engine.encrypt_blocks(key, bytes(32))  # populate schedule cache
         subkey = int.from_bytes(
             AES128(key).encrypt_block(bytes(16)), "big")
-        ghash_mod.get_provider("table").digest(subkey, (b"x" * 16,))
+        ghash_mod.default_provider().digest(subkey, (b"x" * 16,))
         assert subkey in ghash_mod._TABLES
         forget_key(key)
         if cache is not None:
@@ -342,7 +354,7 @@ class TestRoundKeyCacheHygiene:
         subkey = int.from_bytes(
             AES128(key).encrypt_block(bytes(16)), "big")
         default_engine().decrypt_blocks(key, bytes(16))
-        ghash_mod.get_provider("table").digest(subkey, (b"x" * 16,))
+        ghash_mod.default_provider().digest(subkey, (b"x" * 16,))
 
         def refuse(*args, **kwargs):
             raise AssertionError("forget_key built a golden AES128")
@@ -352,6 +364,49 @@ class TestRoundKeyCacheHygiene:
         cache = default_engine().backend.cache
         assert key not in cache._entries
         assert subkey not in ghash_mod._TABLES
+
+    def test_concurrent_readers_and_discards(self):
+        """Executor threads read schedules while session teardowns
+        discard them: no ``KeyError`` escapes ``words`` and every
+        schedule is bit-exact."""
+        cache = RoundKeyCache(capacity=2)
+        keys = [bytes([i]) * 16 for i in range(3)]
+        want = {key: (tuple(expand_key(key, 10)),
+                      tuple(inverse_schedule(expand_key(key, 10))))
+                for key in keys}
+        errors = []
+        stop = threading.Event()
+
+        def reader(key):
+            try:
+                while not stop.is_set():
+                    got = (cache.words(key),
+                           cache.words(key, inverse=True))
+                    if got != want[key]:
+                        errors.append(f"wrong schedule for {key.hex()}")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(repr(exc))
+
+        def discarder():
+            while not stop.is_set():
+                for key in keys:
+                    cache.discard(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=reader, args=(key,))
+                   for key in keys]
+        threads.append(threading.Thread(target=discarder))
+        try:
+            for thread in threads:
+                thread.start()
+            stop.wait(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join()
+            sys.setswitchinterval(interval)
+        assert errors == []
 
     def test_forget_key_tolerates_garbage(self):
         from repro.perf.engine import forget_key

@@ -224,20 +224,34 @@ class TestGhashSection:
     def test_cross_check_ghash_gate(self):
         from repro.perf.bench import cross_check_ghash
 
+        from repro.aes.ghash import default_provider
+
         summary = cross_check_ghash()
         assert summary["ghash_mismatches"] == 0
         assert summary["ghash_cases"] > 0
-        assert "bitwise" in summary["ghash_providers"]
-        assert "table" in summary["ghash_providers"]
+        assert summary["ghash_providers"] == [default_provider().name]
+
+    def test_cross_check_ghash_catches_a_wrong_digest(self, monkeypatch):
+        from repro.aes.ghash import default_provider
+        from repro.perf.bench import cross_check_ghash
+
+        ghash = default_provider()
+        monkeypatch.setattr(ghash, "digest", lambda h, parts: 1)
+        with pytest.raises(BackendMismatch, match="diverges"):
+            cross_check_ghash()
 
     def test_run_bench_embeds_ghash_section(self):
         report = run_bench(quick=True, sizes=[128], reps=1,
                            backend_names=["baseline"],
-                           corpus_blocks=4, cluster=False,
-                           ghash_names=["bitwise", "table"])
+                           corpus_blocks=4, cluster=False)
         section = report["ghash"]
         assert section is not None
-        assert "bitwise" in section["providers"]
+        from repro.aes.ghash import default_provider
+        name = default_provider().name
+        assert section["providers"] == ["bitwise", name]
+        assert {(r["provider"], r["kind"])
+                for r in section["workloads"]} == {
+            ("bitwise", "digest"), (name, "digest"), (name, "gcm")}
         for row in section["workloads"]:
             assert row["kind"] in {"digest", "gcm"}
             assert row["blocks_per_s"] >= 0
@@ -261,12 +275,6 @@ class TestGhashSection:
         assert report["ghash"] is None
         # The equivalence gate still runs even without timings.
         assert report["equivalence"]["ghash_mismatches"] == 0
-
-    def test_rejects_unknown_ghash_provider(self):
-        with pytest.raises(ValueError, match="unknown ghash"):
-            run_bench(quick=True, sizes=[128], reps=1,
-                      backend_names=["baseline"], corpus_blocks=4,
-                      ghash_names=["quantum"])
 
 
 class TestClusterScenario:

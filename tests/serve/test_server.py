@@ -714,6 +714,58 @@ class TestInlineDispatch:
         assert 1 <= most <= workers
 
 
+class TestSharedKeySessions:
+    def test_teardown_never_corrupts_another_sessions_gcm(self):
+        """Two sessions load one key.  One sends 64 KiB GCM encrypts
+        (lane-folded GHASH, on the executor) while the other keeps
+        connecting, loading the key and closing; each close forgets
+        the key's schedules and GHASH tables.  Every reply must be OK
+        and match ``gcm_encrypt`` run before the server started."""
+        rng = random.Random(0x5E55)
+        key = rng.randbytes(16)
+        jobs = [(rng.randbytes(GCM_IV_BYTES), rng.randbytes(64 * 1024))
+                for _ in range(40)]
+        wants = [b"".join(gcm.gcm_encrypt(key, iv, pt))
+                 for iv, pt in jobs]
+
+        async def scenario():
+            server = await _started()
+            host, port = server.address
+            finished = asyncio.Event()
+            churns = 0
+
+            async def churn():
+                nonlocal churns
+                while not finished.is_set():
+                    async with CryptoClient(host, port) as client:
+                        reply = await client.load_key(key)
+                        assert reply.status is Status.OK
+                    churns += 1
+
+            bad = []
+            churner = asyncio.get_running_loop().create_task(churn())
+            try:
+                async with CryptoClient(
+                    host, port, retry=RetryPolicy(attempts=1)
+                ) as client:
+                    await client.load_key(key)
+                    for index, ((iv, pt), want) in enumerate(
+                            zip(jobs, wants)):
+                        reply = await client.encrypt(Mode.GCM, iv + pt)
+                        if (reply.status is not Status.OK
+                                or reply.payload != want):
+                            bad.append((index, reply.status.name))
+            finally:
+                finished.set()
+                await churner
+                await server.stop()
+            return bad, churns
+
+        bad, churns = asyncio.run(scenario())
+        assert churns > 0
+        assert bad == []
+
+
 class TestObservability:
     def test_request_and_byte_counters_move(self):
         async def scenario():

@@ -30,3 +30,15 @@ def test_no_egg_info_tracked():
     assert [path for path in _tracked()
             if any(part.endswith(".egg-info")
                    for part in PurePosixPath(path).parts)] == []
+
+
+def test_serve_layer_never_uses_wait_for():
+    """Every await under ``repro.serve`` is bounded by
+    ``asyncio.timeout``.  On CPython 3.11 ``asyncio.wait_for`` returns
+    its inner result when a cancel lands as that result arrives, so a
+    task stopped that way (a health loop under ``Gateway.stop``, a
+    connect under shutdown) keeps running."""
+    serve = REPO / "src" / "repro" / "serve"
+    offenders = [path.name for path in sorted(serve.glob("*.py"))
+                 if "wait_for" in path.read_text()]
+    assert offenders == []
